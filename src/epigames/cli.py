@@ -41,16 +41,6 @@ from .masks import (
 from .policy import LOCKDOWN, MASK_MANDATE, compare_policies, designer_cost
 from .scenario import ScenarioConfig, parse_scenario
 
-SUBCOMMANDS = (
-    "mask-basic",
-    "mask-bayesian",
-    "mask-efficiency",
-    "distancing",
-    "meeting-opt",
-    "curves",
-    "policy-compare",
-)
-
 _STATUS_PAIRS = (
     ("both_susceptible", HealthStatus.SUSCEPTIBLE, HealthStatus.SUSCEPTIBLE),
     ("one_infected", HealthStatus.SUSCEPTIBLE, HealthStatus.INFECTED),
@@ -79,15 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pandemic decision games: mask/distancing analyses and policy ranking.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, descr in (
-        ("mask-basic", "pair games with equilibria, social optima, and dominance"),
-        ("mask-bayesian", "mask decision under unknown health status"),
-        ("mask-efficiency", "mask decision with imperfect protection"),
-        ("distancing", "go-out versus stay-home decision"),
-        ("meeting-opt", "optimal meeting exposure z = group * duration"),
-        ("curves", "meeting objective sampled over the z domain"),
-        ("policy-compare", "evaluate and rank government policy sets"),
-    ):
+    for name, (descr, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=descr)
         p.add_argument("--scenario", required=True, help="path to the scenario file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -456,15 +438,17 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> str:
     )
 
 
-_HANDLERS = {
-    "mask-basic": _cmd_mask_basic,
-    "mask-bayesian": _cmd_mask_bayesian,
-    "mask-efficiency": _cmd_mask_efficiency,
-    "distancing": _cmd_distancing,
-    "meeting-opt": _cmd_meeting_opt,
-    "curves": _cmd_curves,
-    "policy-compare": _cmd_policy_compare,
+# subcommand -> (help line, handler), in the order --help lists them
+_COMMANDS = {
+    "mask-basic": ("pair games with equilibria, social optima, and dominance", _cmd_mask_basic),
+    "mask-bayesian": ("mask decision under unknown health status", _cmd_mask_bayesian),
+    "mask-efficiency": ("mask decision with imperfect protection", _cmd_mask_efficiency),
+    "distancing": ("go-out versus stay-home decision", _cmd_distancing),
+    "meeting-opt": ("optimal meeting exposure z = group * duration", _cmd_meeting_opt),
+    "curves": ("meeting objective sampled over the z domain", _cmd_curves),
+    "policy-compare": ("evaluate and rank government policy sets", _cmd_policy_compare),
 }
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -485,7 +469,7 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     try:
         config = parse_scenario(args.scenario)
-        report = _HANDLERS[args.command](config, opts)
+        report = _COMMANDS[args.command][1](config, opts)
     except ScenarioError as exc:
         print(f"epigames: scenario error: {exc}", file=sys.stderr)
         return 1

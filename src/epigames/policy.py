@@ -21,7 +21,7 @@ Conventions used by the evaluation:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 from .distancing import (
@@ -51,14 +51,16 @@ LOCKDOWN = "lockdown"
 MASS_TESTING = "mass_testing"
 TARGETED_TESTING = "targeted_testing"
 
-POLICY_KINDS = (
-    MASK_MANDATE,
-    FREE_MASKS,
-    GATHERING_CAP,
-    LOCKDOWN,
-    MASS_TESTING,
-    TARGETED_TESTING,
-)
+# kind -> the parameters that kind takes, in the order reports and scenario files list them
+POLICY_PARAMS: dict[str, tuple[str, ...]] = {
+    MASK_MANDATE: (),
+    FREE_MASKS: ("subsidy",),
+    GATHERING_CAP: ("limit",),
+    LOCKDOWN: (),
+    MASS_TESTING: ("per_test_cost",),
+    TARGETED_TESTING: ("per_test_cost", "traced_fraction"),
+}
+POLICY_KINDS = tuple(POLICY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -76,17 +78,10 @@ class Policy:
     traced_fraction: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
+        if self.kind not in POLICY_PARAMS:
             raise ValueError(f"unknown policy kind {self.kind!r}; have {POLICY_KINDS}")
-        wanted = {
-            MASK_MANDATE: (),
-            LOCKDOWN: (),
-            FREE_MASKS: ("subsidy",),
-            GATHERING_CAP: ("limit",),
-            MASS_TESTING: ("per_test_cost",),
-            TARGETED_TESTING: ("per_test_cost", "traced_fraction"),
-        }[self.kind]
-        for name in ("subsidy", "limit", "per_test_cost", "traced_fraction"):
+        wanted = POLICY_PARAMS[self.kind]
+        for name in (f.name for f in fields(self) if f.name != "kind"):
             value = getattr(self, name)
             if name in wanted and value is None:
                 raise ValueError(f"{self.kind} requires parameter {name!r}")
@@ -135,12 +130,8 @@ class Policy:
         )
 
     def describe(self) -> str:
-        parts = []
-        for name in ("subsidy", "limit", "per_test_cost", "traced_fraction"):
-            value = getattr(self, name)
-            if value is not None:
-                parts.append(f"{name}={value:g}")
-        return self.kind if not parts else f"{self.kind}({';'.join(parts)})"
+        params = ";".join(f"{name}={getattr(self, name):g}" for name in POLICY_PARAMS[self.kind])
+        return f"{self.kind}({params})" if params else self.kind
 
 
 @dataclass(frozen=True)

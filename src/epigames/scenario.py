@@ -10,39 +10,48 @@ and key.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .distancing import CostBenefitFunction, DistancingParams, MeetingDomain
 from .errors import ScenarioError
 from .masks import BayesianSetting, EfficiencyParams, MaskCosts
-from .policy import (
-    FREE_MASKS,
-    GATHERING_CAP,
-    MASS_TESTING,
-    POLICY_KINDS,
-    TARGETED_TESTING,
-    DesignerCostModel,
-    Policy,
-    Scenario,
-)
+from .policy import POLICY_KINDS, POLICY_PARAMS, DesignerCostModel, Policy, Scenario
 
-_SECTION_KEYS = {
-    "mask": ("c_out", "c_in", "c_use", "c_infection", "a", "b"),
-    "bayesian": ("rho", "p1"),
-    "distancing": ("B", "C", "m", "L", "rho"),
-    "functions": ("benefit", "cost"),
-    "meeting": ("z_min", "z_max", "grid_steps"),
-    "population": ("n",),
-    "policies": None,  # keys are user-chosen policy-set names
-    "designer": ("weight_infection", "weight_test", "weight_economic"),
-}
-
-_POLICY_PARAMS = {
-    FREE_MASKS: ("subsidy",),
-    GATHERING_CAP: ("limit",),
-    MASS_TESTING: ("per_test_cost",),
-    TARGETED_TESTING: ("per_test_cost", "traced_fraction"),
+# section -> key -> (ScenarioConfig field, attribute of the field's value),
+# in file order; attribute None means the field is the value itself.
+# [policies] keys are user-chosen policy-set names.
+_SECTIONS: dict[str, dict[str, tuple[str, str | None]] | None] = {
+    "mask": {
+        "c_out": ("mask_costs", "c_out"),
+        "c_in": ("mask_costs", "c_in"),
+        "c_use": ("mask_costs", "c_use"),
+        "c_infection": ("mask_costs", "c_infection"),
+        "a": ("efficiency", "a"),
+        "b": ("efficiency", "b"),
+    },
+    "bayesian": {"rho": ("bayesian", "rho"), "p1": ("bayesian", "p1")},
+    "distancing": {
+        "B": ("distancing", "benefit"),
+        "C": ("distancing", "home_cost"),
+        "m": ("distancing", "mortality"),
+        "L": ("distancing", "life_value"),
+        "rho": ("distancing", "infection_prob"),
+    },
+    "functions": {"benefit": ("benefit_fn", None), "cost": ("cost_fn", None)},
+    "meeting": {
+        "z_min": ("meeting_domain", "z_min"),
+        "z_max": ("meeting_domain", "z_max"),
+        "grid_steps": ("meeting_domain", "grid_steps"),
+    },
+    "population": {"n": ("population", None)},
+    "policies": None,
+    "designer": {
+        "weight_infection": ("designer", "weight_infection"),
+        "weight_test": ("designer", "weight_test"),
+        "weight_economic": ("designer", "weight_economic"),
+    },
 }
 
 
@@ -114,6 +123,16 @@ class ScenarioConfig:
         )
 
 
+def _finite(value: float | int, where: str, raw: str) -> None:
+    """Reject nan and infinities, which no scenario quantity may take.
+
+    An int is finite by construction and may exceed every float, so it is
+    not converted.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(f"{where}: expected a finite number, got {raw!r}")
+
+
 class _SectionReader:
     def __init__(self, parser: configparser.ConfigParser, section: str):
         self.parser = parser
@@ -138,6 +157,7 @@ class _SectionReader:
             raise ScenarioError(
                 f"[{self.section}].{key}: expected a number, got {raw!r}"
             ) from None
+        _finite(value, f"[{self.section}].{key}", raw)
         if lo is not None and (value < lo or (lo_open and value == lo)):
             bound = f"> {lo}" if lo_open else f">= {lo}"
             raise ScenarioError(f"[{self.section}].{key}: must be {bound}, got {raw}")
@@ -174,6 +194,8 @@ def _parse_function(section: str, key: str, raw: str) -> CostBenefitFunction:
         numbers = [float(part) for part in args.split(",")]
     except ValueError:
         raise ScenarioError(f"[{section}].{key}: malformed coefficients in {raw!r}") from None
+    for number in numbers:
+        _finite(number, f"[{section}].{key}", raw)
     try:
         if kind == "constant":
             if len(numbers) != 1:
@@ -193,7 +215,7 @@ def _parse_policy(set_name: str, text: str) -> Policy:
         raise ScenarioError(
             f"[policies].{set_name}: unknown policy {kind!r}; have {', '.join(POLICY_KINDS)}"
         )
-    allowed = _POLICY_PARAMS.get(kind, ())
+    allowed = POLICY_PARAMS[kind]
     params: dict[str, float | int] = {}
     for token in tokens[1:]:
         name, sep, raw_value = token.partition("=")
@@ -209,6 +231,7 @@ def _parse_policy(set_name: str, text: str) -> Policy:
             raise ScenarioError(
                 f"[policies].{set_name}: expected a number for {name}, got {raw_value!r}"
             ) from None
+        _finite(params[name], f"[policies].{set_name}", token)
     missing = [name for name in allowed if name not in params]
     if missing:
         raise ScenarioError(
@@ -243,11 +266,11 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from None
 
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SECTIONS:
             raise ScenarioError(
-                f"unknown section [{section}]; have {', '.join(sorted(_SECTION_KEYS))}"
+                f"unknown section [{section}]; have {', '.join(sorted(_SECTIONS))}"
             )
-        allowed = _SECTION_KEYS[section]
+        allowed = _SECTIONS[section]
         if allowed is None:
             continue
         for key in parser.options(section):
@@ -360,83 +383,31 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 
 def format_scenario(config: ScenarioConfig) -> str:
     """Serialize a parsed scenario back to file text (exact round-trip)."""
-    lines: list[str] = []
+    blocks = []
+    for section, keys in _SECTIONS.items():
+        if keys is None:
+            if config.policy_sets is None:
+                continue
+            pairs = [
+                (name, ", ".join(_encode_policy(p) for p in policies))
+                for name, policies in config.policy_sets
+            ]
+        else:
+            holders = {field: getattr(config, field) for field, _ in keys.values()}
+            if any(holder is None for holder in holders.values()):
+                continue
+            pairs = [
+                (key, _encode_value(holders[field], attr)) for key, (field, attr) in keys.items()
+            ]
+        blocks.append("\n".join([f"[{section}]"] + [f"{key} = {value}" for key, value in pairs]))
+    return "\n\n".join(blocks) + "\n"
 
-    def section(name: str, pairs: list[tuple[str, object]]) -> None:
-        if lines:
-            lines.append("")
-        lines.append(f"[{name}]")
-        lines.extend(f"{key} = {value}" for key, value in pairs)
 
-    if config.mask_costs is not None:
-        costs = config.mask_costs
-        section(
-            "mask",
-            [
-                ("c_out", repr(costs.c_out)),
-                ("c_in", repr(costs.c_in)),
-                ("c_use", repr(costs.c_use)),
-                ("c_infection", repr(costs.c_infection)),
-                ("a", repr(config.efficiency.a)),
-                ("b", repr(config.efficiency.b)),
-            ],
-        )
-    if config.bayesian is not None:
-        section(
-            "bayesian",
-            [("rho", repr(config.bayesian.rho)), ("p1", repr(config.bayesian.p1))],
-        )
-    if config.distancing is not None:
-        d = config.distancing
-        section(
-            "distancing",
-            [
-                ("B", repr(d.benefit)),
-                ("C", repr(d.home_cost)),
-                ("m", repr(d.mortality)),
-                ("L", repr(d.life_value)),
-                ("rho", repr(d.infection_prob)),
-            ],
-        )
-    if config.benefit_fn is not None and config.cost_fn is not None:
-        section(
-            "functions",
-            [("benefit", config.benefit_fn.encode()), ("cost", config.cost_fn.encode())],
-        )
-    domain = config.meeting_domain
-    section(
-        "meeting",
-        [
-            ("z_min", repr(domain.z_min)),
-            ("z_max", repr(domain.z_max)),
-            ("grid_steps", domain.grid_steps),
-        ],
-    )
-    if config.population is not None:
-        section("population", [("n", config.population)])
-    if config.policy_sets is not None:
-        pairs = []
-        for name, policies in config.policy_sets:
-            encoded = ", ".join(_encode_policy(p) for p in policies)
-            pairs.append((name, encoded))
-        section("policies", pairs)
-    if config.designer is not None:
-        model = config.designer
-        section(
-            "designer",
-            [
-                ("weight_infection", repr(model.weight_infection)),
-                ("weight_test", repr(model.weight_test)),
-                ("weight_economic", repr(model.weight_economic)),
-            ],
-        )
-    return "\n".join(lines) + "\n"
+def _encode_value(holder: object, attr: str | None) -> str:
+    value = holder if attr is None else getattr(holder, attr)
+    return value.encode() if isinstance(value, CostBenefitFunction) else repr(value)
 
 
 def _encode_policy(policy: Policy) -> str:
-    parts = [policy.kind]
-    for name in ("subsidy", "limit", "per_test_cost", "traced_fraction"):
-        value = getattr(policy, name)
-        if value is not None:
-            parts.append(f"{name}={value!r}")
-    return " ".join(parts)
+    params = [f"{name}={getattr(policy, name)!r}" for name in POLICY_PARAMS[policy.kind]]
+    return " ".join([policy.kind] + params)

@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import strategies as st
 
-from epigames import MaskCosts
+from epigames import MaskCosts, Policy
+from epigames.policy import POLICY_PARAMS
+
+SAMPLE_PARAMS = {"subsidy": 12.5, "limit": 7, "per_test_cost": 3.25, "traced_fraction": 0.4}
 
 
 @pytest.fixture
@@ -28,3 +31,8 @@ def mask_costs_with_gaps(draw):
 
 def probabilities():
     return st.floats(0.0, 1.0)
+
+
+def sample_policy(kind):
+    """A valid policy of ``kind`` with every parameter its table row names set."""
+    return Policy(kind, **{name: SAMPLE_PARAMS[name] for name in POLICY_PARAMS[kind]})

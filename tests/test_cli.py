@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import configparser
 import csv
 import io
+import re
 
 import pytest
 
+from conftest import SAMPLE_PARAMS
 from epigames import cli, oracle
+from epigames.policy import POLICY_PARAMS
+from epigames.scenario import _SECTIONS
 
 BASELINE = """\
 [mask]
@@ -209,3 +214,52 @@ class TestExitCodes:
         for command in cli.SUBCOMMANDS:
             code, _, err = run_cli(capsys, command, "--scenario", scenario_path, "--verify")
             assert code == 0, f"{command} failed verification: {err}"
+
+
+class TestCommandTable:
+    def test_subcommands_match_the_help_listing(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run(["--help"])
+        assert exit_info.value.code == 0
+        # subcommands are indented four spaces; wrapped help lines further
+        names = re.findall(r"^ {4}(\S+)", capsys.readouterr().out, re.MULTILINE)
+        assert tuple(names) == cli.SUBCOMMANDS
+
+
+def _non_finite_cases():
+    """(section, key, value template, texts the error must name) for every
+    number a scenario holds; the template's {} takes the non-finite value."""
+    for section, keys in _SECTIONS.items():
+        if section in ("functions", "policies"):
+            continue
+        for key in keys:
+            yield section, key, "{}", (f"[{section}].{key}",)
+    for key in ("benefit", "cost"):
+        for template in ("constant:{}", "linear:{},0", "linear:0,{}"):
+            yield "functions", key, template, (f"[functions].{key}",)
+    for kind, names in POLICY_PARAMS.items():
+        for name in names:
+            params = " ".join(f"{n}={'{}' if n == name else SAMPLE_PARAMS[n]}" for n in names)
+            yield "policies", kind, f"{kind} {params}", (f"[policies].{kind}", name)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section, key, template, named",
+    [pytest.param(*case, id=f"{case[0]}.{case[1]}={case[2]}") for case in _non_finite_cases()],
+)
+def test_non_finite_number_exits_one_naming_the_key(
+    tmp_path, capsys, section, key, template, named, bad
+):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(BASELINE)
+    parser["mask"].update(a="0.25", b="0.5")
+    parser[section][key] = template.format(bad)
+    path = tmp_path / "bad.ini"
+    with open(path, "w", encoding="utf-8") as handle:
+        parser.write(handle)
+    code, out, err = run_cli(capsys, "policy-compare", "--scenario", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("epigames: scenario error: ")
+    assert all(text in err for text in named)

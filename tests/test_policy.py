@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import probabilities
+from conftest import probabilities, sample_policy
 from epigames import (
     BayesianSetting,
     CostBenefitFunction,
@@ -29,6 +29,7 @@ from epigames import (
     restrict,
     testing_outlay as compute_testing_outlay,
 )
+from epigames.policy import POLICY_KINDS, POLICY_PARAMS
 
 S = HealthStatus.SUSCEPTIBLE
 
@@ -84,6 +85,15 @@ class TestPolicyType:
         assert Policy.free_masks(50).describe() == "free_masks(subsidy=50)"
         described = Policy.targeted_testing(5, 0.1).describe()
         assert described == "targeted_testing(per_test_cost=5;traced_fraction=0.1)"
+
+    def test_kinds_are_the_parameter_table_keys(self):
+        assert POLICY_KINDS == tuple(POLICY_PARAMS)
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_describe_lists_parameters_in_table_order(self, kind):
+        inside = sample_policy(kind).describe().partition("(")[2].rstrip(")")
+        names = [part.partition("=")[0] for part in inside.split(";") if part]
+        assert names == list(POLICY_PARAMS[kind])
 
 
 class TestApplyPolicy:

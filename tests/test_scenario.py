@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import SAMPLE_PARAMS, sample_policy
 from epigames import (
     CostBenefitFunction,
     Policy,
@@ -9,6 +10,7 @@ from epigames import (
     format_scenario,
     parse_scenario,
 )
+from epigames.policy import POLICY_KINDS, POLICY_PARAMS
 
 FULL = """\
 [mask]
@@ -102,6 +104,18 @@ class TestParsing:
         config = parse_scenario(write(tmp_path, FULL))
         again = parse_scenario(write(tmp_path, format_scenario(config), "again.ini"))
         assert again == config
+
+    def test_every_policy_kind_round_trips(self, tmp_path):
+        lines = ["[policies]"]
+        for kind in POLICY_KINDS:
+            params = " ".join(f"{name}={SAMPLE_PARAMS[name]}" for name in POLICY_PARAMS[kind])
+            lines.append(f"{kind} = {kind} {params}")
+        config = parse_scenario(write(tmp_path, "\n".join(lines) + "\n"))
+        assert config.policy_sets == tuple((kind, (sample_policy(kind),)) for kind in POLICY_KINDS)
+        text = format_scenario(config)
+        again = parse_scenario(write(tmp_path, text, "again.ini"))
+        assert again == config
+        assert format_scenario(again) == text
 
     def test_missing_file_is_a_scenario_error(self, tmp_path):
         with pytest.raises(ScenarioError, match="cannot read"):
