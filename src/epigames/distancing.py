@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, FieldError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -36,11 +36,10 @@ class DistancingParams:
     def __post_init__(self) -> None:
         for name in ("benefit", "home_cost", "mortality", "life_value", "infection_prob"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.mortality > 1:
-            raise ValueError(f"mortality must be within [0, 1], got {self.mortality}")
-        if self.infection_prob > 1:
-            raise ValueError(f"infection_prob must be within [0, 1], got {self.infection_prob}")
+                raise FieldError(f"{name} must be non-negative, got {getattr(self, name)}", name)
+        for name in ("mortality", "infection_prob"):
+            if getattr(self, name) > 1:
+                raise FieldError(f"{name} must be within [0, 1], got {getattr(self, name)}", name)
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,12 @@ class MeetingDomain:
 
     def __post_init__(self) -> None:
         if not 0 < self.z_min < self.z_max <= 100:
-            raise ValueError(
-                f"need 0 < z_min < z_max <= 100, got z_min={self.z_min}, z_max={self.z_max}"
+            raise FieldError(
+                f"need 0 < z_min < z_max <= 100, got z_min={self.z_min}, z_max={self.z_max}",
+                "z_min", "z_max",
             )
         if self.grid_steps < 1:
-            raise ValueError(f"grid_steps must be positive, got {self.grid_steps}")
+            raise FieldError(f"grid_steps must be positive, got {self.grid_steps}", "grid_steps")
 
     def grid(self) -> list[float]:
         """grid_steps + 1 evenly spaced samples, endpoints included exactly."""

@@ -5,6 +5,14 @@ class DomainError(ValueError):
     """A computation was requested outside its mathematical domain."""
 
 
+class FieldError(ValueError):
+    """A value type's fields break one of its rules; ``fields`` names them."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 class ScenarioError(ValueError):
     """A scenario file is missing, malformed, or violates an invariant."""
 

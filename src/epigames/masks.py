@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from .errors import FieldError
 from .games import ActionSet, CostTable
 
 ACTION_NO = "no"
@@ -44,14 +45,16 @@ class MaskCosts:
 
     def __post_init__(self) -> None:
         if not (0 <= self.c_out < self.c_in < self.c_infection):
-            raise ValueError(
+            raise FieldError(
                 "mask costs must satisfy 0 <= c_out < c_in < c_infection, got "
-                f"c_out={self.c_out}, c_in={self.c_in}, c_infection={self.c_infection}"
+                f"c_out={self.c_out}, c_in={self.c_in}, c_infection={self.c_infection}",
+                "c_out", "c_in", "c_infection",
             )
         if not (0 <= self.c_use < self.c_infection):
-            raise ValueError(
+            raise FieldError(
                 "mask costs must satisfy 0 <= c_use < c_infection, got "
-                f"c_use={self.c_use}, c_infection={self.c_infection}"
+                f"c_use={self.c_use}, c_infection={self.c_infection}",
+                "c_use", "c_infection",
             )
 
 
@@ -63,10 +66,9 @@ class BayesianSetting:
     p1: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.rho <= 1:
-            raise ValueError(f"rho must be within [0, 1], got {self.rho}")
-        if not 0 <= self.p1 <= 1:
-            raise ValueError(f"p1 must be within [0, 1], got {self.p1}")
+        for name in ("rho", "p1"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise FieldError(f"{name} must be within [0, 1], got {getattr(self, name)}", name)
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,8 @@ class EfficiencyParams:
 
     def __post_init__(self) -> None:
         if not 0 <= self.a <= self.b <= 1:
-            raise ValueError(
-                f"efficiencies must satisfy 0 <= a <= b <= 1, got a={self.a}, b={self.b}"
+            raise FieldError(
+                f"efficiencies must satisfy 0 <= a <= b <= 1, got a={self.a}, b={self.b}", "a", "b"
             )
 
 

@@ -33,6 +33,7 @@ from .distancing import (
     extended_go_decision,
     group_infection_probability,
 )
+from .errors import FieldError
 from .masks import (
     ACTION_IN,
     ACTION_NO,
@@ -173,7 +174,7 @@ class DesignerCostModel:
     def __post_init__(self) -> None:
         for name in ("weight_infection", "weight_test", "weight_economic"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+                raise FieldError(f"{name} must be non-negative, got {getattr(self, name)}", name)
 
 
 @dataclass(frozen=True)

@@ -11,64 +11,30 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 from .distancing import CostBenefitFunction, DistancingParams, MeetingDomain
-from .errors import ScenarioError
+from .errors import FieldError, ScenarioError
 from .masks import BayesianSetting, EfficiencyParams, MaskCosts
 from .policy import POLICY_KINDS, POLICY_PARAMS, DesignerCostModel, Policy, Scenario
-
-# section -> key -> (ScenarioConfig field, attribute of the field's value),
-# in file order; attribute None means the field is the value itself.
-# [policies] keys are user-chosen policy-set names.
-_SECTIONS: dict[str, dict[str, tuple[str, str | None]] | None] = {
-    "mask": {
-        "c_out": ("mask_costs", "c_out"),
-        "c_in": ("mask_costs", "c_in"),
-        "c_use": ("mask_costs", "c_use"),
-        "c_infection": ("mask_costs", "c_infection"),
-        "a": ("efficiency", "a"),
-        "b": ("efficiency", "b"),
-    },
-    "bayesian": {"rho": ("bayesian", "rho"), "p1": ("bayesian", "p1")},
-    "distancing": {
-        "B": ("distancing", "benefit"),
-        "C": ("distancing", "home_cost"),
-        "m": ("distancing", "mortality"),
-        "L": ("distancing", "life_value"),
-        "rho": ("distancing", "infection_prob"),
-    },
-    "functions": {"benefit": ("benefit_fn", None), "cost": ("cost_fn", None)},
-    "meeting": {
-        "z_min": ("meeting_domain", "z_min"),
-        "z_max": ("meeting_domain", "z_max"),
-        "grid_steps": ("meeting_domain", "grid_steps"),
-    },
-    "population": {"n": ("population", None)},
-    "policies": None,
-    "designer": {
-        "weight_infection": ("designer", "weight_infection"),
-        "weight_test": ("designer", "weight_test"),
-        "weight_economic": ("designer", "weight_economic"),
-    },
-}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Parsed scenario file; absent sections are None (or carry defaults)."""
 
-    mask_costs: MaskCosts | None
-    efficiency: EfficiencyParams
-    bayesian: BayesianSetting | None
-    distancing: DistancingParams | None
-    benefit_fn: CostBenefitFunction | None
-    cost_fn: CostBenefitFunction | None
-    meeting_domain: MeetingDomain
-    population: int | None
-    policy_sets: tuple[tuple[str, tuple[Policy, ...]], ...] | None
-    designer: DesignerCostModel | None
+    mask_costs: MaskCosts | None = None
+    efficiency: EfficiencyParams = EfficiencyParams()
+    bayesian: BayesianSetting | None = None
+    distancing: DistancingParams | None = None
+    benefit_fn: CostBenefitFunction | None = None
+    cost_fn: CostBenefitFunction | None = None
+    meeting_domain: MeetingDomain = MeetingDomain()
+    population: int | None = None
+    policy_sets: tuple[tuple[str, tuple[Policy, ...]], ...] | None = None
+    designer: DesignerCostModel | None = None
 
     def require_mask(self) -> MaskCosts:
         if self.mask_costs is None:
@@ -124,78 +90,64 @@ class ScenarioConfig:
 
 
 def _finite(value: float | int, where: str, raw: str) -> None:
-    """Reject nan and infinities, which no scenario quantity may take.
-
-    An int is finite by construction and may exceed every float, so it is
-    not converted.
-    """
-    if isinstance(value, float) and not math.isfinite(value):
+    """Reject nan, infinities and ints beyond every float: no scenario quantity may take them."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large to convert to float
+        finite = False
+    if not finite:
         raise ScenarioError(f"{where}: expected a finite number, got {raw!r}")
 
 
-class _SectionReader:
-    def __init__(self, parser: configparser.ConfigParser, section: str):
-        self.parser = parser
-        self.section = section
-
-    def _raw(self, key: str) -> str:
-        if not self.parser.has_option(self.section, key):
-            raise ScenarioError(f"[{self.section}].{key}: missing required key")
-        return self.parser.get(self.section, key)
-
-    def decimal(
-        self,
-        key: str,
-        lo: float | None = None,
-        hi: float | None = None,
-        lo_open: bool = False,
-    ) -> float:
-        raw = self._raw(key)
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ScenarioError(
-                f"[{self.section}].{key}: expected a number, got {raw!r}"
-            ) from None
-        _finite(value, f"[{self.section}].{key}", raw)
-        if lo is not None and (value < lo or (lo_open and value == lo)):
-            bound = f"> {lo}" if lo_open else f">= {lo}"
-            raise ScenarioError(f"[{self.section}].{key}: must be {bound}, got {raw}")
-        if hi is not None and value > hi:
-            raise ScenarioError(f"[{self.section}].{key}: must be <= {hi}, got {raw}")
-        return value
-
-    def probability(self, key: str) -> float:
-        return self.decimal(key, lo=0.0, hi=1.0)
-
-    def integer(self, key: str, lo: int = 1) -> int:
-        raw = self._raw(key)
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ScenarioError(
-                f"[{self.section}].{key}: expected an integer, got {raw!r}"
-            ) from None
-        if value < lo:
-            raise ScenarioError(f"[{self.section}].{key}: must be >= {lo}, got {raw}")
-        return value
+def _number(raw: str, where: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ScenarioError(f"{where}: expected a number, got {raw!r}") from None
+    _finite(value, where, raw)
+    return value
 
 
-def _parse_function(section: str, key: str, raw: str) -> CostBenefitFunction:
+def _integer(raw: str, where: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ScenarioError(f"{where}: expected an integer, got {raw!r}") from None
+    _finite(value, where, raw)
+    return value
+
+
+def _price(raw: str, where: str) -> float:
+    # MaskCosts accepts a zero c_out or c_use, which a free_masks subsidy can reach,
+    # but a scenario file gives market prices
+    value = _number(raw, where)
+    if value <= 0:
+        raise ScenarioError(f"{where}: must be > 0, got {raw}")
+    return value
+
+
+def _population(raw: str, where: str) -> int:
+    # no value type holds the population until to_scenario builds a Scenario
+    value = _integer(raw, where)
+    if value < 2:
+        raise ScenarioError(f"{where}: must be >= 2, got {raw}")
+    return value
+
+
+def _function(raw: str, where: str) -> CostBenefitFunction:
     text = raw.strip()
     kind, sep, args = text.partition(":")
     kind = kind.strip()
     if not sep or kind not in ("constant", "linear"):
         raise ScenarioError(
-            f"[{section}].{key}: expected 'constant:k' or 'linear:slope,intercept',"
-            f" got {raw!r}"
+            f"{where}: expected 'constant:k' or 'linear:slope,intercept', got {raw!r}"
         )
     try:
         numbers = [float(part) for part in args.split(",")]
     except ValueError:
-        raise ScenarioError(f"[{section}].{key}: malformed coefficients in {raw!r}") from None
+        raise ScenarioError(f"{where}: malformed coefficients in {raw!r}") from None
     for number in numbers:
-        _finite(number, f"[{section}].{key}", raw)
+        _finite(number, where, raw)
     try:
         if kind == "constant":
             if len(numbers) != 1:
@@ -205,7 +157,74 @@ def _parse_function(section: str, key: str, raw: str) -> CostBenefitFunction:
             raise ValueError("linear takes exactly two coefficients")
         return CostBenefitFunction.linear(numbers[0], numbers[1])
     except ValueError as exc:
-        raise ScenarioError(f"[{section}].{key}: {exc}") from None
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+# section -> key -> (ScenarioConfig field, attribute of the field's value, reader of the
+# key's text), in file order; attribute None means the field is the value itself.
+# [policies] keys are user-chosen policy-set names.
+_SECTIONS: dict[str, dict[str, tuple[str, str | None, Callable[[str, str], object]]] | None] = {
+    "mask": {
+        "c_out": ("mask_costs", "c_out", _price),
+        "c_in": ("mask_costs", "c_in", _number),
+        "c_use": ("mask_costs", "c_use", _price),
+        "c_infection": ("mask_costs", "c_infection", _number),
+        "a": ("efficiency", "a", _number),
+        "b": ("efficiency", "b", _number),
+    },
+    "bayesian": {"rho": ("bayesian", "rho", _number), "p1": ("bayesian", "p1", _number)},
+    "distancing": {
+        "B": ("distancing", "benefit", _number),
+        "C": ("distancing", "home_cost", _number),
+        "m": ("distancing", "mortality", _number),
+        "L": ("distancing", "life_value", _number),
+        "rho": ("distancing", "infection_prob", _number),
+    },
+    "functions": {
+        "benefit": ("benefit_fn", None, _function),
+        "cost": ("cost_fn", None, _function),
+    },
+    "meeting": {
+        "z_min": ("meeting_domain", "z_min", _number),
+        "z_max": ("meeting_domain", "z_max", _number),
+        "grid_steps": ("meeting_domain", "grid_steps", _integer),
+    },
+    "population": {"n": ("population", None, _population)},
+    "policies": None,
+    "designer": {
+        "weight_infection": ("designer", "weight_infection", _number),
+        "weight_test": ("designer", "weight_test", _number),
+        "weight_economic": ("designer", "weight_economic", _number),
+    },
+}
+
+# ScenarioConfig field -> the type its keys build; the types state the range rules
+_TYPES: dict[str, type] = {
+    "mask_costs": MaskCosts,
+    "efficiency": EfficiencyParams,
+    "bayesian": BayesianSetting,
+    "distancing": DistancingParams,
+    "meeting_domain": MeetingDomain,
+    "designer": DesignerCostModel,
+}
+
+
+def _build(section: str, field: str, given: dict[str | None, object]) -> object:
+    """The value of one ScenarioConfig field from the values its keys gave."""
+    key_of = {attr: key for key, (owner, attr, _) in _SECTIONS[section].items() if owner == field}
+    if field not in _TYPES:  # the field is one key's value
+        if None not in given:
+            raise ScenarioError(f"[{section}].{key_of[None]}: missing required key")
+        return given[None]
+    value_type = _TYPES[field]
+    for declared in fields(value_type):
+        if declared.name not in given and declared.default is MISSING:
+            raise ScenarioError(f"[{section}].{key_of[declared.name]}: missing required key")
+    try:
+        return value_type(**given)
+    except FieldError as exc:
+        named = "/".join(key_of[name] for name in exc.fields)
+        raise ScenarioError(f"[{section}].{named}: {exc}") from None
 
 
 def _parse_policy(set_name: str, text: str) -> Policy:
@@ -254,7 +273,12 @@ def _parse_policy_sets(
 
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:
-    """Read and fully validate a scenario file."""
+    """Read and fully validate a scenario file.
+
+    The reader checks names, syntax, presence and the two range rules no type
+    states; the value types check every other range rule, and the reader
+    names the file's section and keys in their errors.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys such as B, C, L are case-sensitive
     try:
@@ -270,115 +294,22 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
             raise ScenarioError(
                 f"unknown section [{section}]; have {', '.join(sorted(_SECTIONS))}"
             )
-        allowed = _SECTIONS[section]
-        if allowed is None:
+    values: dict[str, object] = {}
+    for section, keys in _SECTIONS.items():
+        if not parser.has_section(section):
             continue
-        for key in parser.options(section):
-            if key not in allowed:
-                raise ScenarioError(
-                    f"[{section}].{key}: unknown key; have {', '.join(allowed)}"
-                )
-
-    mask_costs = None
-    efficiency = EfficiencyParams()
-    if parser.has_section("mask"):
-        reader = _SectionReader(parser, "mask")
-        c_out = reader.decimal("c_out", lo=0.0, lo_open=True)
-        c_in = reader.decimal("c_in", lo=0.0, lo_open=True)
-        c_use = reader.decimal("c_use", lo=0.0, lo_open=True)
-        c_infection = reader.decimal("c_infection", lo=0.0, lo_open=True)
-        if not c_out < c_in < c_infection:
-            raise ScenarioError(
-                "[mask].c_out/c_in/c_infection: must satisfy c_out < c_in < c_infection,"
-                f" got {c_out}, {c_in}, {c_infection}"
-            )
-        if not c_use < c_infection:
-            raise ScenarioError(
-                f"[mask].c_use: must be below c_infection, got {c_use} >= {c_infection}"
-            )
-        mask_costs = MaskCosts(c_out, c_in, c_use, c_infection)
-        if parser.has_option("mask", "a") or parser.has_option("mask", "b"):
-            a = reader.probability("a")
-            b = reader.probability("b")
-            if a > b:
-                raise ScenarioError(f"[mask].a: must not exceed b, got a={a}, b={b}")
-            efficiency = EfficiencyParams(a, b)
-
-    bayesian = None
-    if parser.has_section("bayesian"):
-        reader = _SectionReader(parser, "bayesian")
-        bayesian = BayesianSetting(reader.probability("rho"), reader.probability("p1"))
-
-    dist = None
-    if parser.has_section("distancing"):
-        reader = _SectionReader(parser, "distancing")
-        dist = DistancingParams(
-            benefit=reader.decimal("B", lo=0.0),
-            home_cost=reader.decimal("C", lo=0.0),
-            mortality=reader.probability("m"),
-            life_value=reader.decimal("L", lo=0.0),
-            infection_prob=reader.probability("rho"),
-        )
-
-    benefit_fn = cost_fn = None
-    if parser.has_section("functions"):
-        reader = _SectionReader(parser, "functions")
-        benefit_fn = _parse_function("functions", "benefit", reader._raw("benefit"))
-        cost_fn = _parse_function("functions", "cost", reader._raw("cost"))
-
-    meeting = MeetingDomain()
-    if parser.has_section("meeting"):
-        reader = _SectionReader(parser, "meeting")
-        z_min = (
-            reader.decimal("z_min", lo=0.0, lo_open=True)
-            if parser.has_option("meeting", "z_min")
-            else meeting.z_min
-        )
-        z_max = (
-            reader.decimal("z_max", lo=0.0, lo_open=True, hi=100.0)
-            if parser.has_option("meeting", "z_max")
-            else meeting.z_max
-        )
-        steps = (
-            reader.integer("grid_steps", lo=1)
-            if parser.has_option("meeting", "grid_steps")
-            else meeting.grid_steps
-        )
-        if not z_min < z_max:
-            raise ScenarioError(
-                f"[meeting].z_min: must be below z_max, got z_min={z_min}, z_max={z_max}"
-            )
-        meeting = MeetingDomain(z_min, z_max, steps)
-
-    population = None
-    if parser.has_section("population"):
-        population = _SectionReader(parser, "population").integer("n", lo=2)
-
-    policy_sets = None
-    if parser.has_section("policies"):
-        policy_sets = _parse_policy_sets(parser)
-
-    designer = None
-    if parser.has_section("designer"):
-        reader = _SectionReader(parser, "designer")
-        designer = DesignerCostModel(
-            weight_infection=reader.decimal("weight_infection", lo=0.0),
-            weight_test=reader.decimal("weight_test", lo=0.0),
-            weight_economic=reader.decimal("weight_economic", lo=0.0),
-        )
-
-    return ScenarioConfig(
-        mask_costs=mask_costs,
-        efficiency=efficiency,
-        bayesian=bayesian,
-        distancing=dist,
-        benefit_fn=benefit_fn,
-        cost_fn=cost_fn,
-        meeting_domain=meeting,
-        population=population,
-        policy_sets=policy_sets,
-        designer=designer,
-    )
+        if keys is None:
+            values["policy_sets"] = _parse_policy_sets(parser)
+            continue
+        given: dict[str, dict[str | None, object]] = {field: {} for field, _, _ in keys.values()}
+        for key, raw in parser.items(section):
+            if key not in keys:
+                raise ScenarioError(f"[{section}].{key}: unknown key; have {', '.join(keys)}")
+            field, attr, read = keys[key]
+            given[field][attr] = read(raw, f"[{section}].{key}")
+        for field, attrs in given.items():
+            values[field] = _build(section, field, attrs)
+    return ScenarioConfig(**values)
 
 
 def format_scenario(config: ScenarioConfig) -> str:
@@ -393,11 +324,12 @@ def format_scenario(config: ScenarioConfig) -> str:
                 for name, policies in config.policy_sets
             ]
         else:
-            holders = {field: getattr(config, field) for field, _ in keys.values()}
+            holders = {field: getattr(config, field) for field, _, _ in keys.values()}
             if any(holder is None for holder in holders.values()):
                 continue
             pairs = [
-                (key, _encode_value(holders[field], attr)) for key, (field, attr) in keys.items()
+                (key, _encode_value(holders[field], attr))
+                for key, (field, attr, _) in keys.items()
             ]
         blocks.append("\n".join([f"[{section}]"] + [f"{key} = {value}" for key, value in pairs]))
     return "\n\n".join(blocks) + "\n"

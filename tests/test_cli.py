@@ -2,8 +2,10 @@
 
 import configparser
 import csv
+import hashlib
 import io
 import re
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +245,25 @@ def _non_finite_cases():
             yield "policies", kind, f"{kind} {params}", (f"[policies].{kind}", name)
 
 
+def _run_with(tmp_path, capsys, section, key, value):
+    """Run policy-compare on BASELINE (with [mask] a, b) with one value replaced."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(BASELINE)
+    parser["mask"].update(a="0.25", b="0.5")
+    parser[section][key] = value
+    path = tmp_path / "bad.ini"
+    with open(path, "w", encoding="utf-8") as handle:
+        parser.write(handle)
+    return run_cli(capsys, "policy-compare", "--scenario", str(path))
+
+
+def _assert_one_line_scenario_error(code, out, err, named):
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("epigames: scenario error: ")
+    assert all(text in err for text in named)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "section, key, template, named",
@@ -251,15 +272,55 @@ def _non_finite_cases():
 def test_non_finite_number_exits_one_naming_the_key(
     tmp_path, capsys, section, key, template, named, bad
 ):
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    parser.read_string(BASELINE)
-    parser["mask"].update(a="0.25", b="0.5")
-    parser[section][key] = template.format(bad)
-    path = tmp_path / "bad.ini"
-    with open(path, "w", encoding="utf-8") as handle:
-        parser.write(handle)
-    code, out, err = run_cli(capsys, "policy-compare", "--scenario", str(path))
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and err.startswith("epigames: scenario error: ")
-    assert all(text in err for text in named)
+    result = _run_with(tmp_path, capsys, section, key, template.format(bad))
+    _assert_one_line_scenario_error(*result, named)
+
+
+HUGE = "1" + "0" * 400  # an int no float can hold
+
+
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        pytest.param("population", "n", HUGE, ("[population].n", "finite"), id="n"),
+        pytest.param(
+            "policies", "cap", f"gathering_cap limit={HUGE}", ("[policies].cap", "limit", "finite"),
+            id="limit",
+        ),
+    ],
+)
+def test_int_beyond_every_float_exits_one_naming_the_key(
+    tmp_path, capsys, section, key, value, named
+):
+    result = _run_with(tmp_path, capsys, section, key, value)
+    _assert_one_line_scenario_error(*result, named)
+
+
+BASELINE_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.ini"
+
+# sha256 of every report on scenarios/baseline.ini: a change that alters a report's
+# bytes must update this table on purpose
+GOLDEN_DIGESTS = {
+    ("mask-basic", "table"): "408ed315203b198ecbe9217bc5101c9de282bdc5f892a090438b743a5ab37ec8",
+    ("mask-basic", "csv"): "3ade15f5a2e64f77c4b6dfbb5166e8d62f30b6890a053051953137edd98a763c",
+    ("mask-bayesian", "table"): "d87fad94b8d5420aabbbda5a6a53fbec09680a1d25974d93fee695eecde066b1",
+    ("mask-bayesian", "csv"): "8f1f313d896fdc01df7cf94a695153a76732c47c65c4225e8cc07140537a8464",
+    ("mask-efficiency", "table"): "3d4935fa47a0f09d9889bb99895069270ffd108660ccc25edd1360a751befacd",
+    ("mask-efficiency", "csv"): "81d8331e8a681527ca8703e20dfb3a25a18e9716642c6de593e11b955fbb6cf9",
+    ("distancing", "table"): "d1b5bb665169c2023d016b3569807356d0f809ad9aab4737a4fc3b179ee7d5df",
+    ("distancing", "csv"): "92e50d5c72687a5c0efab44502a344975da7d4ac576680cd1030d10e0609e303",
+    ("meeting-opt", "table"): "ae8a3b14a325ace6740e3a938ddb5424289bf034447f45a3213dc458cbbedd88",
+    ("meeting-opt", "csv"): "623b3033ca1f819ea74b924b132a52dd59b6a3d909a938f4f4c6c14928597c32",
+    ("curves", "table"): "355fd13eedf8706621feba6f27281c5280dac1b7e8cfa39fe9506b8cf85b8780",
+    ("curves", "csv"): "70c46a1c91c204ae18435f09fe753a39f662bdab293f0023d96deb897827d586",
+    ("policy-compare", "table"): "2399e82b2b42e68ca4d72d5b7cab94a65b807c59fc687b0463409f70841e890f",
+    ("policy-compare", "csv"): "12e190a3b6959769bca92d222f4a5c98da752cdbece795b8e85a647affd622f1",
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+def test_baseline_reports_match_their_golden_digests(capsys, command, fmt):
+    code, out, err = run_cli(capsys, command, "--scenario", str(BASELINE_FILE), "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[command, fmt]
