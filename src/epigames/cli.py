@@ -372,10 +372,12 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> str:
     ranked = compare_policies(scenario, [policies for _, policies in named_sets], model)
 
     remaining = list(range(len(named_sets)))
+    warnings = [()] * len(named_sets)  # each set's policy warnings, in input order
     rows = []
     for rank, (policies, report) in enumerate(ranked, start=1):
         index = next(i for i in remaining if named_sets[i][1] == policies)
         remaining.remove(index)
+        warnings[index] = report.warnings
         outcome = report.citizen_outcome
         rows.append(
             [
@@ -419,6 +421,9 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> str:
                     mismatches.append("restricted mandate game disagrees with enumeration")
         _fail_verify(mismatches)
 
+    for (name, _), texts in zip(named_sets, warnings):
+        for text in texts:
+            print(f"epigames: warning: [policies].{name}: {text}", file=sys.stderr)
     return _render_rows(
         [
             "rank",

@@ -11,11 +11,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError, FieldError
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class Decision(enum.Enum):
@@ -188,29 +186,6 @@ class MeetingOptimum(NamedTuple):
     value: float
 
 
-def _golden_max(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    # Golden-section refinement for a maximum on [lo, hi].
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(200):
-        if b - a <= tol:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    x = (a + b) / 2
-    return x, fn(x)
-
-
 def optimal_meeting(
     benefit_fn: CostBenefitFunction,
     cost_fn: CostBenefitFunction,
@@ -218,29 +193,24 @@ def optimal_meeting(
     m: float,
     domain: MeetingDomain,
 ) -> MeetingOptimum:
-    """Maximize the meeting objective over the z domain.
+    """Maximize the meeting objective by a uniform scan of ``domain.grid()``.
 
-    Uniform grid scan followed by one golden-section refinement pass on the
-    bracketing interval; ties break toward smaller z (less exposure).
+    Ties break toward smaller z (less exposure).  The scan is exact for the
+    constant and linear functions of this module, and the argument covers
+    only those two kinds: the objective is N(z) / D(z) with N = B + C affine
+    and non-negative and D(z) = (1 - (1-rho)^z) * m concave and positive on
+    z > 0.  Each sublevel set {N - t*D <= 0} is empty (t < 0) or the
+    sublevel set of a convex function (t >= 0), hence convex, so the
+    objective is quasi-convex (Boyd & Vandenberghe, Convex Optimization,
+    3.4.1) and its maximum lies at z_min or z_max, which the grid holds
+    exactly.  Interior samples win only by rounding noise where it is flat.
     """
-
-    def objective(z: float) -> float:
-        return z_objective(z, benefit_fn, cost_fn, rho, m)
-
     points = domain.grid()
-    best_i, best_f = 0, objective(points[0])
-    for i in range(1, len(points)):
-        f = objective(points[i])
+    best_z, best_f = points[0], z_objective(points[0], benefit_fn, cost_fn, rho, m)
+    for z in points[1:]:
+        f = z_objective(z, benefit_fn, cost_fn, rho, m)
         if f > best_f:
-            best_i, best_f = i, f
-    lo = points[best_i - 1] if best_i > 0 else points[0]
-    hi = points[best_i + 1] if best_i + 1 < len(points) else points[-1]
-    best_z = points[best_i]
-    if lo < hi:
-        span = domain.z_max - domain.z_min
-        z_ref, f_ref = _golden_max(objective, lo, hi, tol=span * 1e-12)
-        if f_ref > best_f or (f_ref == best_f and z_ref < best_z):
-            best_z, best_f = z_ref, f_ref
+            best_z, best_f = z, f
     return MeetingOptimum(best_z, best_f)
 
 

@@ -24,6 +24,24 @@ ACTION_USE = "use"
 PAIR_ACTIONS = (ACTION_NO, ACTION_OUT, ACTION_IN)
 
 
+class MaskAction(NamedTuple):
+    price_field: str | None  # the MaskCosts field that prices the action; None when free
+    protects_wearer: bool
+    protects_other: bool
+
+    def price(self, costs: MaskCosts) -> float:
+        return 0.0 if self.price_field is None else getattr(costs, self.price_field)
+
+
+# action -> its price and whom it protects, read by the pair games and the policy layer
+MASK_ACTIONS: dict[str, MaskAction] = {
+    ACTION_NO: MaskAction(None, False, False),
+    ACTION_OUT: MaskAction("c_out", False, True),
+    ACTION_IN: MaskAction("c_in", True, False),
+    ACTION_USE: MaskAction("c_use", True, True),
+}
+
+
 class HealthStatus(enum.Enum):
     SUSCEPTIBLE = "susceptible"
     INFECTED = "infected"
@@ -76,8 +94,8 @@ class EfficiencyParams:
     """Per-encounter infection multipliers of a worn mask (smaller is better).
 
     ``a`` scales the wearer's own infection probability, ``b`` scales onward
-    transmission from an infected wearer; real masks block outgoing droplets
-    better than incoming aerosols, hence a <= b.
+    transmission from an infected wearer.  The model assumes a mask protects
+    its wearer at least as well as it protects others, hence a <= b.
     """
 
     a: float = 1.0 / 3.0
@@ -93,26 +111,23 @@ class EfficiencyParams:
 def pair_game(status1: HealthStatus, status2: HealthStatus, costs: MaskCosts) -> CostTable:
     """Build the 3x3 full-information meeting game for the given status pair.
 
-    A susceptible player facing an infected one bears the infection cost
-    unless she wears the in-mask herself or the infected player wears the
-    out-mask.  Infected players always carry their infection cost.
+    Each player pays the price of their action.  A susceptible player facing
+    an infected one also bears the infection cost unless their own mask
+    protects its wearer or the infected player's mask protects others
+    (``MASK_ACTIONS``).  Infected players always carry their infection cost.
     """
-    prices = (0.0, costs.c_out, costs.c_in)
     ci = costs.c_infection
-    one_inf = HealthStatus.INFECTED
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            c1 = prices[i] + (ci if status1 is one_inf else 0.0)
-            c2 = prices[j] + (ci if status2 is one_inf else 0.0)
-            if status1 is not one_inf and status2 is one_inf and i != 2 and j != 1:
-                c1 += ci
-            if status2 is not one_inf and status1 is one_inf and j != 2 and i != 1:
-                c2 += ci
-            row.append((c1, c2))
-        rows.append(tuple(row))
-    return CostTable(ActionSet(PAIR_ACTIONS), ActionSet(PAIR_ACTIONS), tuple(rows))
+    actions = [MASK_ACTIONS[label] for label in PAIR_ACTIONS]
+
+    def cost(own: MaskAction, other: MaskAction, infected: bool, other_infected: bool) -> float:
+        exposed = other_infected and not (own.protects_wearer or other.protects_other)
+        return own.price(costs) + (ci if infected or exposed else 0.0)
+
+    inf1, inf2 = (status is HealthStatus.INFECTED for status in (status1, status2))
+    rows = tuple(
+        tuple((cost(x, y, inf1, inf2), cost(y, x, inf2, inf1)) for y in actions) for x in actions
+    )
+    return CostTable(ActionSet(PAIR_ACTIONS), ActionSet(PAIR_ACTIONS), rows)
 
 
 def bayesian_expected_cost(setting: BayesianSetting, p2: float, costs: MaskCosts) -> float:

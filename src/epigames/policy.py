@@ -33,12 +33,13 @@ from .distancing import (
     extended_go_decision,
     group_infection_probability,
 )
-from .errors import FieldError
+from .errors import DomainError, FieldError
 from .masks import (
     ACTION_IN,
     ACTION_NO,
     ACTION_OUT,
     ACTION_USE,
+    MASK_ACTIONS,
     BayesianSetting,
     EfficiencyParams,
     MaskCosts,
@@ -274,15 +275,6 @@ def designer_cost(
     )
 
 
-def _mask_price(costs: MaskCosts, action: str) -> float:
-    return {
-        ACTION_NO: 0.0,
-        ACTION_OUT: costs.c_out,
-        ACTION_IN: costs.c_in,
-        ACTION_USE: costs.c_use,
-    }[action]
-
-
 def evaluate_mechanism(
     scenario: Scenario, policies: Sequence[Policy], model: DesignerCostModel
 ) -> MechanismReport:
@@ -292,9 +284,11 @@ def evaluate_mechanism(
     choose masks: revealed statuses play the full-information pair games
     (susceptibles wear in-masks whenever infected players exist, infected
     players go maskless), unrevealed citizens follow the Bayesian rule, and
-    a mandate forces the out-mask on everyone.  New-infection probabilities
-    scale the meeting exposure by ``a`` for a masked susceptible and ``b``
-    for masked infected counterparts.
+    a mandate forces the out-mask on everyone.  As in the pair games, each
+    action's price and protection come from ``MASK_ACTIONS``: exposure scales
+    by ``a`` for susceptibles whose mask protects its wearer and by ``b`` for
+    infected counterparts whose mask protects others (so not ``a`` for an
+    out-mask).  Raises ``DomainError`` naming any aggregate that overflows.
     """
     s = scenario
     for policy in policies:
@@ -335,23 +329,16 @@ def evaluate_mechanism(
         duration = z_star / group
         exposure = group_infection_probability(d.infection_prob, GroupMeeting(group, duration))
 
-        def own_factor(action: str) -> float:
-            return s.efficiency.a if action != ACTION_NO else 1.0
-
-        masked_infected = f_r * (1.0 if ri_action != ACTION_NO else 0.0) + (1 - f_r) * (
-            1.0 if u_action != ACTION_NO else 0.0
-        )
+        rs, ri, u = MASK_ACTIONS[rs_action], MASK_ACTIONS[ri_action], MASK_ACTIONS[u_action]
+        own = {True: s.efficiency.a, False: 1.0}  # a susceptible's factor, by protects_wearer
+        susceptible_factor = f_r * own[rs.protects_wearer] + (1 - f_r) * own[u.protects_wearer]
+        # protects_other flags count as 0 or 1
+        masked_infected = f_r * ri.protects_other + (1 - f_r) * u.protects_other
         spread_factor = 1.0 - masked_infected * (1.0 - s.efficiency.b)
-        infections = (
-            exposure
-            * spread_factor
-            * (1 - rho_b)
-            * n
-            * (f_r * own_factor(rs_action) + (1 - f_r) * own_factor(u_action))
-        )
+        infections = exposure * spread_factor * (1 - rho_b) * n * susceptible_factor
         mask_spend = n * (
-            f_r * ((1 - rho_b) * _mask_price(costs, rs_action) + rho_b * _mask_price(costs, ri_action))
-            + (1 - f_r) * _mask_price(costs, u_action)
+            f_r * ((1 - rho_b) * rs.price(costs) + rho_b * ri.price(costs))
+            + (1 - f_r) * u.price(costs)
         )
         social = mask_spend + infections * costs.c_infection
         outcome = CitizenOutcome(
@@ -364,17 +351,21 @@ def evaluate_mechanism(
             u_action if f_r < 1 else None,
         )
 
-    outlay = testing_outlay(s.policies_applied, n)
-    total_designer = designer_cost(infections, suppressed, n, s.policies_applied, model)
+    aggregates = {
+        "expected_infections": infections,
+        "social_cost": social,
+        "designer_cost": designer_cost(infections, suppressed, n, s.policies_applied, model),
+        "testing_outlay": testing_outlay(s.policies_applied, n),
+        "suppressed_benefit": suppressed,
+    }
+    for name, value in aggregates.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} is {value}: the scenario's magnitudes overflow a float")
     return MechanismReport(
         citizen_outcome=outcome,
-        expected_infections=infections,
-        social_cost=social,
-        designer_cost=total_designer,
-        testing_outlay=outlay,
-        suppressed_benefit=suppressed,
         policies_applied=s.policies_applied,
         warnings=s.warnings,
+        **aggregates,
     )
 
 

@@ -245,17 +245,23 @@ def _non_finite_cases():
             yield "policies", kind, f"{kind} {params}", (f"[policies].{kind}", name)
 
 
-def _run_with(tmp_path, capsys, section, key, value):
-    """Run policy-compare on BASELINE (with [mask] a, b) with one value replaced."""
+def _edited_scenario(tmp_path, text, edits):
+    """Write ``text`` with each (section, key, value) of ``edits`` set, in order; returns the path."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    parser.read_string(BASELINE)
-    parser["mask"].update(a="0.25", b="0.5")
-    parser[section][key] = value
-    path = tmp_path / "bad.ini"
+    parser.read_string(text)
+    for section, key, value in edits:
+        parser[section][key] = value
+    path = tmp_path / "edited.ini"
     with open(path, "w", encoding="utf-8") as handle:
         parser.write(handle)
-    return run_cli(capsys, "policy-compare", "--scenario", str(path))
+    return str(path)
+
+
+def _run_with(tmp_path, capsys, section, key, value):
+    """Run policy-compare on BASELINE (with [mask] a, b) with one value replaced."""
+    edits = [("mask", "a", "0.25"), ("mask", "b", "0.5"), (section, key, value)]
+    return run_cli(capsys, "policy-compare", "--scenario", _edited_scenario(tmp_path, BASELINE, edits))
 
 
 def _assert_one_line_scenario_error(code, out, err, named):
@@ -313,8 +319,8 @@ GOLDEN_DIGESTS = {
     ("meeting-opt", "csv"): "623b3033ca1f819ea74b924b132a52dd59b6a3d909a938f4f4c6c14928597c32",
     ("curves", "table"): "355fd13eedf8706621feba6f27281c5280dac1b7e8cfa39fe9506b8cf85b8780",
     ("curves", "csv"): "70c46a1c91c204ae18435f09fe753a39f662bdab293f0023d96deb897827d586",
-    ("policy-compare", "table"): "2399e82b2b42e68ca4d72d5b7cab94a65b807c59fc687b0463409f70841e890f",
-    ("policy-compare", "csv"): "12e190a3b6959769bca92d222f4a5c98da752cdbece795b8e85a647affd622f1",
+    ("policy-compare", "table"): "a342f62145ad66dd8b60fd5f732957f3af8104da8ebbd1f46c9486046eefc44b",
+    ("policy-compare", "csv"): "1a2478c51900dc5ea0d706e55bb71f7e99bb0ce343f0c7d5ffbb308d460b3d29",
 }
 
 
@@ -324,3 +330,32 @@ def test_baseline_reports_match_their_golden_digests(capsys, command, fmt):
     code, out, err = run_cli(capsys, command, "--scenario", str(BASELINE_FILE), "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[command, fmt]
+
+
+def test_overflowing_aggregate_exits_two_naming_it(tmp_path, capsys):
+    # n converts to a float, but n times a mask price does not fit in one
+    edits = [("population", "n", "1" + "0" * 307)]
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    code, out, err = run_cli(capsys, "policy-compare", "--scenario", path, "--format", "csv")
+    assert code == 2 and out == ""
+    assert err == (
+        "epigames: domain error: social_cost is inf: the scenario's magnitudes overflow a float\n"
+    )
+
+
+def test_policy_warnings_go_to_stderr_in_input_order(tmp_path, capsys):
+    edits = [
+        ("policies", "tested", "gathering_cap limit=10, lockdown, mass_testing per_test_cost=50"),
+        ("policies", "locked", "lockdown, gathering_cap limit=5"),
+    ]
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    code, out, err = run_cli(capsys, "policy-compare", "--scenario", path)
+    assert code == 0
+    # "locked" ranks above "tested", but warnings follow the scenario file's order
+    assert out.index(" locked ") < out.index(" tested ")
+    assert err == (
+        "epigames: warning: [policies].tested: lockdown overrides gathering_cap"
+        " (stricter policy wins)\n"
+        "epigames: warning: [policies].locked: gathering_cap has no effect under lockdown"
+        " (stricter policy wins)\n"
+    )

@@ -215,6 +215,38 @@ class TestOptimalMeeting:
             assert result.value >= z_objective(z, benefit, cost, rho, 0.1) - 1e-9
 
 
+    @given(
+        st.data(),
+        st.floats(1e-4, 1),
+        st.floats(1e-3, 1),
+        st.floats(1e-3, 99.9),
+        st.integers(1, 500),
+    )
+    def test_optimum_is_a_window_endpoint(self, data, rho, m, z_min, steps):
+        # the objective is quasi-convex for these two function kinds, so the
+        # scan's maximum lies on an endpoint, which the grid holds exactly;
+        # coefficients are 0 or >= 1e-6, so N(z) never drops to subnormal
+        # floats, which carry no relative precision
+        def coefficient(hi):
+            return st.just(0.0) | st.floats(1e-6, hi)
+
+        def function():
+            return data.draw(
+                st.builds(CostBenefitFunction.constant, coefficient(1e4))
+                | st.builds(CostBenefitFunction.linear, coefficient(100), coefficient(1e4))
+            )
+
+        benefit, cost = function(), function()
+        z_max = data.draw(st.floats(z_min, 100).filter(lambda z: z > z_min))
+        domain = MeetingDomain(z_min, z_max, steps)
+        result = optimal_meeting(benefit, cost, rho, m, domain)
+        if result.z_star not in (domain.z_min, domain.z_max):
+            # an inner sample wins only where the objective is flat to rounding
+            # (e.g. slope 1e-9 on intercept 4096) and ties the better endpoint
+            best = max(z_objective(z, benefit, cost, rho, m) for z in (z_min, z_max))
+            assert result.value <= best * (1 + 1e-12)
+
+
 class TestExtendedGoDecision:
     def test_huge_constant_stakes_go_at_minimum_exposure(self):
         domain = MeetingDomain(0.1, 100, 500)

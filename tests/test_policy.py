@@ -258,6 +258,19 @@ class TestEvaluateMechanism:
         report = evaluate_mechanism(make_scenario(), [Policy.mask_mandate()], MODEL)
         assert report.citizen_outcome.unrevealed_action == "out"
 
+    def test_out_mask_protects_others_not_its_wearer(self):
+        # a = 0 would make any self-protecting mask perfect, b = 1 makes
+        # protecting others worthless; with masks too dear to wear by choice,
+        # the mandate's out-mask then changes no infection, as in pair_game
+        scenario = make_scenario(
+            mask_costs=MaskCosts(1.0, 10.0, 999.0, 1000.0), efficiency=EfficiencyParams(0, 1)
+        )
+        laissez_faire = evaluate_mechanism(scenario, [], MODEL)
+        mandate = evaluate_mechanism(scenario, [Policy.mask_mandate()], MODEL)
+        assert laissez_faire.citizen_outcome.unrevealed_action == "no"
+        assert laissez_faire.expected_infections > 0
+        assert mandate.expected_infections == laissez_faire.expected_infections
+
     def test_binding_gathering_cap_caps_group_and_stretches_duration(self):
         # pure linear stakes push the optimum to the top of the window; a
         # modest life value keeps the go decision in play
