@@ -27,8 +27,8 @@ from .distancing import (
     stay_home_decision,
     z_objective,
 )
-from .errors import DomainError, ScenarioError, VerificationError
-from .games import pure_nash_equilibria, restrict, solve
+from .errors import DomainError, FieldError, ScenarioError, VerificationError
+from .games import DEFAULT_TOL, pure_nash_equilibria, restrict, solve
 from .masks import (
     HealthStatus,
     bayesian_expected_cost,
@@ -53,7 +53,6 @@ class ReportOptions:
     fmt: str = "table"
     precision: int = 6
     verify: bool = False
-    grid_steps: int | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,20 +133,13 @@ def _profile_text(game, profile) -> str:
     return f"({lab1}, {lab2})"
 
 
-def _meeting_domain(config: ScenarioConfig, opts: ReportOptions):
-    domain = config.meeting_domain
-    if opts.grid_steps is not None:
-        domain = replace(domain, grid_steps=opts.grid_steps)
-    return domain
-
-
 def _fail_verify(mismatches: list[str]) -> None:
     if mismatches:
         raise VerificationError("; ".join(mismatches))
 
 
 def _cmd_mask_basic(config: ScenarioConfig, opts: ReportOptions) -> str:
-    costs = config.require_mask()
+    costs = config.require("mask_costs")
     games = [(name, pair_game(s1, s2, costs)) for name, s1, s2 in _STATUS_PAIRS]
     reports = [(name, game, solve(game)) for name, game in games]
 
@@ -158,7 +150,7 @@ def _cmd_mask_basic(config: ScenarioConfig, opts: ReportOptions) -> str:
                 mismatches.append(f"{name}: equilibrium sets disagree with enumeration")
             sums = [sum(game.pair(*p)) for p in game.profiles()]
             floor = min(sums)
-            exhaustive = [p for k, p in enumerate(game.profiles()) if sums[k] <= floor + 1e-9]
+            exhaustive = [p for k, p in enumerate(game.profiles()) if sums[k] <= floor + DEFAULT_TOL]
             if exhaustive != list(report.social_optima):
                 mismatches.append(f"{name}: social optima disagree with exhaustive scan")
         _fail_verify(mismatches)
@@ -195,8 +187,7 @@ def _cmd_mask_basic(config: ScenarioConfig, opts: ReportOptions) -> str:
 
 
 def _cmd_mask_bayesian(config: ScenarioConfig, opts: ReportOptions) -> str:
-    costs = config.require_mask()
-    setting = config.require_bayesian()
+    costs, setting = config.require("mask_costs", "bayesian")
     condition = bayesian_mask_condition(setting, costs)
     best = bayesian_best_p2(setting, costs)
     cost_no = bayesian_expected_cost(setting, 0.0, costs)
@@ -204,11 +195,12 @@ def _cmd_mask_bayesian(config: ScenarioConfig, opts: ReportOptions) -> str:
 
     if opts.verify:
         mismatches = []
+        tol = 1e-9 * max(1.0, cost_no, cost_use)  # rounding grows with the costs
         if not oracle.check_affine(
-            lambda p2: bayesian_expected_cost(setting, p2, costs), 0.0, 0.37, 1.0, 1e-9
+            lambda p2: bayesian_expected_cost(setting, p2, costs), 0.0, 0.37, 1.0, tol
         ):
             mismatches.append("expected cost is not affine in the wearing probability")
-        if abs(cost_use - cost_no) > 1e-9 and (best == 1.0) != (cost_use < cost_no):
+        if abs(cost_use - cost_no) > tol and (best == 1.0) != (cost_use < cost_no):
             mismatches.append("boundary decision disagrees with endpoint costs")
         _fail_verify(mismatches)
 
@@ -230,7 +222,7 @@ def _cmd_mask_bayesian(config: ScenarioConfig, opts: ReportOptions) -> str:
 
 
 def _cmd_mask_efficiency(config: ScenarioConfig, opts: ReportOptions) -> str:
-    costs = config.require_mask()
+    costs = config.require("mask_costs")
     eff = config.efficiency
     analysis = efficiency_analysis(eff, costs)
 
@@ -245,8 +237,11 @@ def _cmd_mask_efficiency(config: ScenarioConfig, opts: ReportOptions) -> str:
                 f"best_p {analysis.best_p} disagrees with grid minimum {grid.x_star}"
             )
         h = 0.01
-        curvature = (cost_at(0.5 + h) - 2 * cost_at(0.5) + cost_at(0.5 - h)) / (h * h)
-        if not math.isclose(curvature, analysis.second_derivative, rel_tol=1e-6, abs_tol=1e-9):
+        samples = (cost_at(0.5 + h), cost_at(0.5), cost_at(0.5 - h))
+        curvature = (samples[0] - 2 * samples[1] + samples[2]) / (h * h)
+        # exact for a quadratic but for the samples' rounding, which a flat cost (b = 1) shows
+        rounding = 64 * sys.float_info.epsilon * max(samples) / (h * h)
+        if not math.isclose(curvature, analysis.second_derivative, rel_tol=1e-6, abs_tol=rounding):
             mismatches.append("second derivative disagrees with finite differences")
         _fail_verify(mismatches)
 
@@ -270,14 +265,15 @@ def _cmd_mask_efficiency(config: ScenarioConfig, opts: ReportOptions) -> str:
 
 
 def _cmd_distancing(config: ScenarioConfig, opts: ReportOptions) -> str:
-    params = config.require_distancing()
+    params = config.require("distancing")
     outcome = stay_home_decision(params)
     utility_stay = distancing_utility(0.0, params)
     utility_go = distancing_utility(1.0, params)
 
     if opts.verify:
         mismatches = []
-        if abs(utility_go - utility_stay) > 1e-9 and (
+        tol = 1e-9 * max(1.0, params.benefit + params.home_cost)  # the stakes at a tie
+        if abs(utility_go - utility_stay) > tol and (
             outcome.decision is Decision.GO
         ) != (utility_go > utility_stay):
             mismatches.append("threshold decision disagrees with utility comparison")
@@ -300,9 +296,8 @@ def _cmd_distancing(config: ScenarioConfig, opts: ReportOptions) -> str:
 
 
 def _cmd_meeting_opt(config: ScenarioConfig, opts: ReportOptions) -> str:
-    params = config.require_distancing()
-    benefit_fn, cost_fn = config.require_functions()
-    domain = _meeting_domain(config, opts)
+    params, benefit_fn, cost_fn = config.require("distancing", "benefit_fn", "cost_fn")
+    domain = config.meeting_domain
     rho, mortality = params.infection_prob, params.mortality
     optimum = optimal_meeting(benefit_fn, cost_fn, rho, mortality, domain)
     decision = extended_go_decision(
@@ -343,9 +338,8 @@ def _cmd_meeting_opt(config: ScenarioConfig, opts: ReportOptions) -> str:
 
 
 def _cmd_curves(config: ScenarioConfig, opts: ReportOptions) -> str:
-    params = config.require_distancing()
-    benefit_fn, cost_fn = config.require_functions()
-    domain = _meeting_domain(config, opts)
+    params, benefit_fn, cost_fn = config.require("distancing", "benefit_fn", "cost_fn")
+    domain = config.meeting_domain
     series = curve_series(benefit_fn, cost_fn, params.infection_prob, params.mortality, domain)
 
     if opts.verify:
@@ -366,9 +360,7 @@ def _cmd_curves(config: ScenarioConfig, opts: ReportOptions) -> str:
 
 def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> str:
     scenario = config.to_scenario()
-    scenario = replace(scenario, meeting_domain=_meeting_domain(config, opts))
-    named_sets = config.require_policy_sets()
-    model = config.require_designer()
+    named_sets, model = config.require("policy_sets", "designer")
     ranked = compare_policies(scenario, [policies for _, policies in named_sets], model)
 
     remaining = list(range(len(named_sets)))
@@ -460,20 +452,19 @@ def run(argv: list[str] | None = None) -> int:
     """Parse arguments, dispatch, and emit the report; returns the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    opts = ReportOptions(
-        fmt=args.format,
-        precision=args.precision,
-        verify=args.verify,
-        grid_steps=args.grid_steps,
-    )
+    opts = ReportOptions(fmt=args.format, precision=args.precision, verify=args.verify)
     if opts.precision < 1:
         print("epigames: error: --precision must be at least 1", file=sys.stderr)
         return 1
-    if opts.grid_steps is not None and opts.grid_steps < 1:
-        print("epigames: error: --grid-steps must be at least 1", file=sys.stderr)
-        return 1
     try:
         config = parse_scenario(args.scenario)
+        if args.grid_steps is not None:
+            try:  # MeetingDomain states the grid_steps rule for the flag and the file alike
+                domain = replace(config.meeting_domain, grid_steps=args.grid_steps)
+            except FieldError as exc:
+                print(f"epigames: error: --grid-steps: {exc}", file=sys.stderr)
+                return 1
+            config = replace(config, meeting_domain=domain)
         report = _COMMANDS[args.command][1](config, opts)
     except ScenarioError as exc:
         print(f"epigames: scenario error: {exc}", file=sys.stderr)

@@ -80,6 +80,10 @@ class CostBenefitFunction:
         return f"linear:{self.slope!r},{self.intercept!r}"
 
 
+# ten times the largest grid a benchmark renders; a grid holds grid_steps + 1 floats
+MAX_GRID_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class MeetingDomain:
     """Search window for the combined exposure z = group_size * duration."""
@@ -94,8 +98,9 @@ class MeetingDomain:
                 f"need 0 < z_min < z_max <= 100, got z_min={self.z_min}, z_max={self.z_max}",
                 "z_min", "z_max",
             )
-        if self.grid_steps < 1:
-            raise FieldError(f"grid_steps must be positive, got {self.grid_steps}", "grid_steps")
+        if not 1 <= self.grid_steps <= MAX_GRID_STEPS:
+            rule = "positive" if self.grid_steps < 1 else f"at most {MAX_GRID_STEPS}"
+            raise FieldError(f"grid_steps must be {rule}, got {self.grid_steps}", "grid_steps")
 
     def grid(self) -> list[float]:
         """grid_steps + 1 evenly spaced samples, endpoints included exactly."""
@@ -178,7 +183,10 @@ def z_objective(
         raise DomainError(f"meeting objective needs positive mortality, got {m}")
     if z <= 0:
         raise DomainError(f"exposure z must be positive, got {z}")
-    return (benefit_fn(z) + cost_fn(z)) / ((1.0 - (1.0 - rho) ** z) * m)
+    try:
+        return (benefit_fn(z) + cost_fn(z)) / ((1.0 - (1.0 - rho) ** z) * m)
+    except ZeroDivisionError:  # rho or m so small that the risk rounds to zero
+        raise DomainError(f"meeting objective needs a nonzero risk (1 - (1-rho)^z) * m, got 0 at z={z}") from None
 
 
 class MeetingOptimum(NamedTuple):

@@ -2,8 +2,8 @@
 
 Entries are costs and are minimized: a profile is better for a player when
 her coordinate is smaller.  All solvers return every tied solution (within
-an absolute tolerance) and enumerate profiles in row-major order, so output
-is deterministic and reproducible.
+the absolute tolerance ``DEFAULT_TOL``) and enumerate profiles in row-major
+order, so output is deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -125,16 +125,12 @@ def _check_player(player: int) -> None:
         raise ValueError(f"player must be 1 or 2, got {player!r}")
 
 
-def best_responses(
-    game: CostTable, player: int, opponent_action: int, tol: float = DEFAULT_TOL
-) -> list[int]:
+def best_responses(game: CostTable, player: int, opponent_action: int) -> list[int]:
     """Actions minimizing the player's cost against a fixed opponent action.
 
-    All actions within ``tol`` of the minimum are returned, in index order.
+    All actions within ``DEFAULT_TOL`` of the minimum are returned, in index order.
     """
     _check_player(player)
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
     n_own = game.n1 if player == 1 else game.n2
     n_opp = game.n2 if player == 1 else game.n1
     if not 0 <= opponent_action < n_opp:
@@ -144,40 +140,36 @@ def best_responses(
     else:
         own = [game.cost(2, opponent_action, a) for a in range(n_own)]
     floor = min(own)
-    return [a for a, c in enumerate(own) if c <= floor + tol]
+    return [a for a, c in enumerate(own) if c <= floor + DEFAULT_TOL]
 
 
-def is_pure_nash(game: CostTable, profile: StrategyProfile, tol: float = DEFAULT_TOL) -> bool:
-    """True iff both actions are best responses to each other (within tol)."""
+def is_pure_nash(game: CostTable, profile: StrategyProfile) -> bool:
+    """True iff both actions are best responses to each other."""
     i, j = profile
     if not (0 <= i < game.n1 and 0 <= j < game.n2):
         raise ValueError(f"profile {profile!r} out of range for {game.n1}x{game.n2} game")
-    return i in best_responses(game, 1, j, tol) and j in best_responses(game, 2, i, tol)
+    return i in best_responses(game, 1, j) and j in best_responses(game, 2, i)
 
 
-def pure_nash_equilibria(game: CostTable, tol: float = DEFAULT_TOL) -> list[StrategyProfile]:
-    """All profiles where no unilateral deviation lowers own cost by more than tol."""
-    br1 = [set(best_responses(game, 1, j, tol)) for j in range(game.n2)]
-    br2 = [set(best_responses(game, 2, i, tol)) for i in range(game.n1)]
+def pure_nash_equilibria(game: CostTable) -> list[StrategyProfile]:
+    """All profiles where no unilateral deviation lowers own cost by more than DEFAULT_TOL."""
+    br1 = [set(best_responses(game, 1, j)) for j in range(game.n2)]
+    br2 = [set(best_responses(game, 2, i)) for i in range(game.n1)]
     return [p for p in game.profiles() if p.action_p1 in br1[p.action_p2] and p.action_p2 in br2[p.action_p1]]
 
 
-def social_optima(game: CostTable, tol: float = DEFAULT_TOL) -> list[StrategyProfile]:
-    """All profiles whose total cost is within tol of the global minimum."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+def social_optima(game: CostTable) -> list[StrategyProfile]:
+    """All profiles whose total cost is within DEFAULT_TOL of the global minimum."""
     sums = {p: sum(game.pair(*p)) for p in game.profiles()}
     floor = min(sums.values())
-    return [p for p in game.profiles() if sums[p] <= floor + tol]
+    return [p for p in game.profiles() if sums[p] <= floor + DEFAULT_TOL]
 
 
-def dominant_actions(
-    game: CostTable, player: int, weak: bool = True, tol: float = DEFAULT_TOL
-) -> list[int]:
+def dominant_actions(game: CostTable, player: int, weak: bool = True) -> list[int]:
     """Actions that minimize the player's cost against every opponent action.
 
-    Weak dominance allows ties (within tol); strict dominance requires the
-    action to beat every alternative by more than tol in every column.
+    Weak dominance allows ties (within DEFAULT_TOL); strict dominance requires
+    the action to beat every alternative by more than DEFAULT_TOL in every column.
     """
     _check_player(player)
     n_own = game.n1 if player == 1 else game.n2
@@ -190,13 +182,13 @@ def dominant_actions(
     for a in range(n_own):
         if weak:
             ok = all(
-                own_cost(a, o) <= own_cost(b, o) + tol
+                own_cost(a, o) <= own_cost(b, o) + DEFAULT_TOL
                 for o in range(n_opp)
                 for b in range(n_own)
             )
         else:
             ok = all(
-                own_cost(a, o) < own_cost(b, o) - tol
+                own_cost(a, o) < own_cost(b, o) - DEFAULT_TOL
                 for o in range(n_opp)
                 for b in range(n_own)
                 if b != a
@@ -229,11 +221,11 @@ def restrict(
     )
 
 
-def solve(game: CostTable, tol: float = DEFAULT_TOL) -> SolutionReport:
+def solve(game: CostTable) -> SolutionReport:
     """Full solution bundle with weak dominance (the reporting default)."""
     return SolutionReport(
-        pure_nash=tuple(pure_nash_equilibria(game, tol)),
-        social_optima=tuple(social_optima(game, tol)),
-        dominant_p1=tuple(dominant_actions(game, 1, weak=True, tol=tol)),
-        dominant_p2=tuple(dominant_actions(game, 2, weak=True, tol=tol)),
+        pure_nash=tuple(pure_nash_equilibria(game)),
+        social_optima=tuple(social_optima(game)),
+        dominant_p1=tuple(dominant_actions(game, 1)),
+        dominant_p2=tuple(dominant_actions(game, 2)),
     )

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import FieldError
+from .errors import DomainError, FieldError
 from .games import ActionSet, CostTable
 
 ACTION_NO = "no"
@@ -209,6 +209,10 @@ def efficiency_analysis(eff: EfficiencyParams, costs: MaskCosts) -> EfficiencyAn
     threshold = 1 - a * b
     beats = cu / ci < threshold
     degenerate = a == 1.0 or b == 1.0
+    if not math.isfinite(curvature) or curvature == 0 and not degenerate:
+        raise DomainError(
+            f"second_derivative is {curvature}: the scenario's magnitudes leave a float's range"
+        )
     if degenerate:
         slope = cu + ci * (a + b) - 2 * ci
         stationary = None

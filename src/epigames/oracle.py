@@ -13,7 +13,7 @@ from .errors import DomainError
 from .games import DEFAULT_TOL, CostTable, StrategyProfile
 
 
-def enumerate_pure_ne(game: CostTable, tol: float = DEFAULT_TOL) -> list[StrategyProfile]:
+def enumerate_pure_ne(game: CostTable) -> list[StrategyProfile]:
     """Enumerate pure equilibria by exhaustive unilateral-deviation testing.
 
     Independent of the analytic solver: no best-response precomputation,
@@ -25,12 +25,12 @@ def enumerate_pure_ne(game: CostTable, tol: float = DEFAULT_TOL) -> list[Strateg
             c1, c2 = game.costs[i][j]
             stable = True
             for k in range(game.n1):
-                if c1 - game.costs[k][j][0] > tol:
+                if c1 - game.costs[k][j][0] > DEFAULT_TOL:
                     stable = False
                     break
             if stable:
                 for k in range(game.n2):
-                    if c2 - game.costs[i][k][1] > tol:
+                    if c2 - game.costs[i][k][1] > DEFAULT_TOL:
                         stable = False
                         break
             if stable:

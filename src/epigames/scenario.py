@@ -36,57 +36,24 @@ class ScenarioConfig:
     policy_sets: tuple[tuple[str, tuple[Policy, ...]], ...] | None = None
     designer: DesignerCostModel | None = None
 
-    def require_mask(self) -> MaskCosts:
-        if self.mask_costs is None:
-            raise ScenarioError("the [mask] section is required for this command")
-        return self.mask_costs
-
-    def require_bayesian(self) -> BayesianSetting:
-        if self.bayesian is None:
-            raise ScenarioError("the [bayesian] section is required for this command")
-        return self.bayesian
-
-    def require_distancing(self) -> DistancingParams:
-        if self.distancing is None:
-            raise ScenarioError("the [distancing] section is required for this command")
-        return self.distancing
-
-    def require_functions(self) -> tuple[CostBenefitFunction, CostBenefitFunction]:
-        if self.benefit_fn is None or self.cost_fn is None:
-            raise ScenarioError("the [functions] section is required for this command")
-        return self.benefit_fn, self.cost_fn
-
-    def require_population(self) -> int:
-        if self.population is None:
-            raise ScenarioError("the [population] section is required for this command")
-        return self.population
-
-    def require_policy_sets(self) -> tuple[tuple[str, tuple[Policy, ...]], ...]:
-        if not self.policy_sets:
-            raise ScenarioError(
-                "the [policies] section with at least one policy set is required"
-                " for this command"
-            )
-        return self.policy_sets
-
-    def require_designer(self) -> DesignerCostModel:
-        if self.designer is None:
-            raise ScenarioError("the [designer] section is required for this command")
-        return self.designer
+    def require(self, *names: str):
+        """The named fields' values, like ``operator.itemgetter``: one name gives its
+        value, several a tuple.  The first field whose section the file omits (or
+        leaves empty) raises ScenarioError naming that section.
+        """
+        values = tuple(getattr(self, name) for name in names)
+        for name, value in zip(names, values):
+            if value is None or value == ():
+                raise ScenarioError(
+                    f"the [{_SECTION_OF[name]}] section is required for this command"
+                )
+        return values[0] if len(values) == 1 else values
 
     def to_scenario(self) -> Scenario:
         """Assemble the full evaluation bundle; every input section required."""
-        benefit_fn, cost_fn = self.require_functions()
-        return Scenario(
-            mask_costs=self.require_mask(),
-            efficiency=self.efficiency,
-            bayesian=self.require_bayesian(),
-            distancing=self.require_distancing(),
-            benefit_fn=benefit_fn,
-            cost_fn=cost_fn,
-            meeting_domain=self.meeting_domain,
-            population=self.require_population(),
-        )
+        names = ("benefit_fn", "cost_fn", "mask_costs", "bayesian", "distancing", "population")
+        given = dict(zip(names, self.require(*names)))
+        return Scenario(**given, efficiency=self.efficiency, meeting_domain=self.meeting_domain)
 
 
 def _finite(value: float | int, where: str, raw: str) -> None:
@@ -197,6 +164,11 @@ _SECTIONS: dict[str, dict[str, tuple[str, str | None, Callable[[str, str], objec
         "weight_economic": ("designer", "weight_economic", _number),
     },
 }
+
+# ScenarioConfig field -> the section that holds its keys
+_SECTION_OF = {
+    field: section for section, keys in _SECTIONS.items() for field, _, _ in (keys or {}).values()
+} | {"policy_sets": "policies"}
 
 # ScenarioConfig field -> the type its keys build; the types state the range rules
 _TYPES: dict[str, type] = {

@@ -1,16 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
 import configparser
+import contextlib
 import csv
 import hashlib
 import io
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from conftest import SAMPLE_PARAMS
 from epigames import cli, oracle
+from epigames.distancing import MAX_GRID_STEPS
 from epigames.policy import POLICY_PARAMS
 from epigames.scenario import _SECTIONS
 
@@ -343,6 +348,57 @@ def test_overflowing_aggregate_exits_two_naming_it(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value, message",
+    [
+        pytest.param(
+            "meeting-opt", "distancing", "rho", "1e-200",
+            "meeting objective needs a nonzero risk (1 - (1-rho)^z) * m, got 0 at z=0.1",
+            id="risk-underflow",
+        ),
+        pytest.param(
+            "mask-efficiency", "mask", "c_infection", "1e308",
+            "second_derivative is inf: the scenario's magnitudes leave a float's range",
+            id="curvature-overflow",
+        ),
+    ],
+)
+def test_float_range_failures_exit_two_naming_them(
+    tmp_path, capsys, command, section, key, value, message
+):
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), [(section, key, value)])
+    for flags in ([], ["--verify"]):
+        code, out, err = run_cli(capsys, command, "--scenario", path, *flags)
+        assert (code, out, err) == (2, "", f"epigames: domain error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, edits",
+    [
+        # b = 1 makes the cost affine in p: curvature 0, and finite differences show only rounding
+        pytest.param("mask-efficiency", [("mask", "b", "1")], id="affine-efficiency-cost"),
+        # costs near 1e15 round by more than any fixed absolute tolerance
+        pytest.param(
+            "mask-bayesian",
+            [("mask", "c_use", "32.8125"), ("mask", "c_infection", "1438981698254944.0")],
+            id="large-bayesian-costs",
+        ),
+        # a near-tie at stakes near 1e8, where the threshold and the utilities round apart
+        pytest.param(
+            "distancing",
+            [("distancing", "B", "94824870.72526337"), ("distancing", "C", "25438.176548244726"),
+             ("distancing", "m", "0.7758600661949692"), ("distancing", "L", "138490728.1486289"),
+             ("distancing", "rho", "0.8827437508640471")],
+            id="near-tie-distancing",
+        ),
+    ],
+)
+def test_verify_tolerates_rounding(tmp_path, capsys, command, edits):
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    code, out, err = run_cli(capsys, command, "--scenario", path, "--verify")
+    assert (code, err) == (0, "")
+
+
 def test_policy_warnings_go_to_stderr_in_input_order(tmp_path, capsys):
     edits = [
         ("policies", "tested", "gathering_cap limit=10, lockdown, mass_testing per_test_cost=50"),
@@ -359,3 +415,154 @@ def test_policy_warnings_go_to_stderr_in_input_order(tmp_path, capsys):
         "epigames: warning: [policies].locked: gathering_cap has no effect under lockdown"
         " (stricter policy wins)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--precision", "0"), ("--grid-steps", "0"), ("--grid-steps", "-3")]
+)
+def test_out_of_range_flag_exits_one_naming_the_flag(capsys, flag, value):
+    code, out, err = run_cli(capsys, "curves", "--scenario", str(BASELINE_FILE), flag, value)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"epigames: error: {flag}")
+
+
+# the sections each subcommand cannot run without ([meeting] has defaults)
+SECTIONS_READ = {
+    "mask-basic": ("mask",),
+    "mask-bayesian": ("mask", "bayesian"),
+    "mask-efficiency": ("mask",),
+    "distancing": ("distancing",),
+    "meeting-opt": ("distancing", "functions"),
+    "curves": ("distancing", "functions"),
+    "policy-compare": (
+        "mask", "bayesian", "distancing", "functions", "population", "policies", "designer"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [(command, section) for command, sections in SECTIONS_READ.items() for section in sections],
+)
+def test_missing_section_exits_one_naming_it(tmp_path, capsys, command, section):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read(BASELINE_FILE, encoding="utf-8")
+    parser.remove_section(section)
+    path = tmp_path / "thin.ini"
+    with open(path, "w", encoding="utf-8") as handle:
+        parser.write(handle)
+    result = run_cli(capsys, command, "--scenario", str(path))
+    _assert_one_line_scenario_error(*result, (f"the [{section}] section",))
+
+
+@pytest.mark.parametrize(
+    "steps, code",
+    [pytest.param(MAX_GRID_STEPS, 0, id="at"), pytest.param(MAX_GRID_STEPS + 1, 1, id="above")],
+)
+@pytest.mark.parametrize("via", ["file", "flag"])
+def test_grid_steps_bound_holds_for_the_file_and_the_flag(tmp_path, capsys, via, steps, code):
+    # mask-basic never builds the meeting grid, so no run allocates one of this size
+    path, flags = str(BASELINE_FILE), ["--grid-steps", str(steps)]
+    if via == "file":
+        edits = [("meeting", "grid_steps", str(steps))]
+        path, flags = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits), []
+    result = run_cli(capsys, "mask-basic", "--scenario", path, *flags)
+    if code == 0:
+        assert result[0] == 0 and result[2] == ""
+        return
+    message = f"grid_steps must be at most {MAX_GRID_STEPS}, got {steps}"
+    if via == "file":
+        _assert_one_line_scenario_error(*result, (f"[meeting].grid_steps: {message}",))
+    else:
+        assert result[:2] == (1, "")
+        assert result[2] == f"epigames: error: --grid-steps: {message}\n"
+
+
+def _fuzzed_number(base=1.0):
+    return st.one_of(
+        st.floats(0, 3).map(lambda scale: repr(base * scale)),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.integers(-3, 3).map(str),
+        st.sampled_from(["1e308", "-0.0", "1" + "0" * 400, "lots", ""]),
+    )
+
+
+def _fuzzed_policy():
+    numbers = {
+        "subsidy": _fuzzed_number(100.0),
+        "limit": st.integers(-2, 60).map(str),
+        "per_test_cost": _fuzzed_number(50.0),
+        "traced_fraction": _fuzzed_number(0.1),
+    }
+    return st.sampled_from(sorted(POLICY_PARAMS)).flatmap(
+        lambda kind: st.tuples(*(numbers[name] for name in POLICY_PARAMS[kind])).map(
+            lambda values: " ".join(
+                [kind] + [f"{name}={value}" for name, value in zip(POLICY_PARAMS[kind], values)]
+            )
+        )
+    )
+
+
+def _fuzzed_value(section, key, raw):
+    if (section, key) == ("meeting", "grid_steps"):
+        return st.integers(-2, 60).map(str)  # a larger grid only costs time
+    if section == "functions":
+        return st.one_of(
+            _fuzzed_number(500.0).map("constant:{}".format),
+            st.tuples(_fuzzed_number(10.0), _fuzzed_number()).map(",".join).map("linear:{}".format),
+        )
+    if section == "policies":
+        return st.lists(_fuzzed_policy(), max_size=3).map(", ".join)
+    return _fuzzed_number(float(raw))
+
+
+_FUZZ_BASE = configparser.ConfigParser(interpolation=None)
+_FUZZ_BASE.optionxform = str
+_FUZZ_BASE.read(BASELINE_FILE, encoding="utf-8")
+_FUZZ_BASE["meeting"]["grid_steps"] = "40"
+_FUZZ_KEYS = [(section, key) for section in _FUZZ_BASE.sections() for key in _FUZZ_BASE[section]]
+
+
+@st.composite
+def _fuzzed_scenario(draw):
+    """baseline.ini (at a 40-step grid) with a few values replaced and a section maybe dropped."""
+    sections = {section: dict(_FUZZ_BASE.items(section)) for section in _FUZZ_BASE.sections()}
+    for section, key in draw(st.lists(st.sampled_from(_FUZZ_KEYS), max_size=3)):
+        sections[section][key] = draw(_fuzzed_value(section, key, _FUZZ_BASE[section][key]))
+    dropped = draw(st.one_of(st.none(), st.sampled_from(sorted(sections))))
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in pairs.items())
+        for section, pairs in sections.items()
+        if section != dropped
+    )
+
+
+_FLAGS = st.tuples(
+    st.sampled_from([[], ["--format", "csv"]]),
+    st.sampled_from([[], ["--verify"]]),
+    st.one_of(st.just([]), st.integers(-2, 60).map(lambda n: ["--grid-steps", str(n)])),
+    st.one_of(st.just([]), st.integers(0, 12).map(lambda n: ["--precision", str(n)])),
+).map(lambda parts: sum(parts, []))
+
+
+@settings(
+    derandomize=True, max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(command=st.sampled_from(cli.SUBCOMMANDS), text=_fuzzed_scenario(), flags=_FLAGS)
+def test_any_scenario_and_flags_end_in_a_report_or_one_error_line(command, text, flags):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "fuzzed.ini"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run([command, "--scenario", str(path), *flags])
+    out, err = out.getvalue(), err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code == 0:
+        assert not re.search(r"\bnan\b", out, re.IGNORECASE)
+    else:
+        assert out == "" and err.count("\n") == 1 and err.startswith("epigames: ")

@@ -150,9 +150,9 @@ class TestParsing:
     def test_required_section_errors_name_the_section(self, tmp_path):
         config = parse_scenario(write(tmp_path, "[bayesian]\nrho = 0.2\np1 = 0.3\n"))
         with pytest.raises(ScenarioError, match=r"\[mask\] section"):
-            config.require_mask()
+            config.require("mask_costs")
         with pytest.raises(ScenarioError, match=r"\[designer\] section"):
-            config.require_designer()
+            config.require("designer")
 
 
 MASK_ORDER = r"\[mask\]\.c_out/c_in/c_infection: .* 0 <= c_out < c_in < c_infection"
