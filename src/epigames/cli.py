@@ -13,7 +13,6 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
 
 from . import oracle
 from .distancing import (
@@ -40,6 +39,7 @@ from .masks import (
 )
 from .policy import LOCKDOWN, MASK_MANDATE, compare_policies, designer_cost
 from .scenario import ScenarioConfig, parse_scenario
+from .value import Value
 
 _STATUS_PAIRS = (
     ("both_susceptible", HealthStatus.SUSCEPTIBLE, HealthStatus.SUSCEPTIBLE),
@@ -48,8 +48,7 @@ _STATUS_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class ReportOptions:
+class ReportOptions(Value):
     fmt: str = "table"
     precision: int = 6
     verify: bool = False
@@ -460,11 +459,11 @@ def run(argv: list[str] | None = None) -> int:
         config = parse_scenario(args.scenario)
         if args.grid_steps is not None:
             try:  # MeetingDomain states the grid_steps rule for the flag and the file alike
-                domain = replace(config.meeting_domain, grid_steps=args.grid_steps)
+                domain = config.meeting_domain.replace(grid_steps=args.grid_steps)
             except FieldError as exc:
                 print(f"epigames: error: --grid-steps: {exc}", file=sys.stderr)
                 return 1
-            config = replace(config, meeting_domain=domain)
+            config = config.replace(meeting_domain=domain)
         report = _COMMANDS[args.command][1](config, opts)
     except ScenarioError as exc:
         print(f"epigames: scenario error: {exc}", file=sys.stderr)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, FieldError
+from .value import Value
 
 
 class Decision(enum.Enum):
@@ -21,8 +21,7 @@ class Decision(enum.Enum):
     GO = "go"
 
 
-@dataclass(frozen=True)
-class DistancingParams:
+class DistancingParams(Value):
     """Benefit/cost of an outing plus infection-risk constants."""
 
     benefit: float
@@ -40,8 +39,7 @@ class DistancingParams:
                 raise FieldError(f"{name} must be within [0, 1], got {getattr(self, name)}", name)
 
 
-@dataclass(frozen=True)
-class CostBenefitFunction:
+class CostBenefitFunction(Value):
     """Benefit or cost as a function of the exposure z: constant or linear.
 
     Coefficients are non-negative, so values are non-negative on z >= 0.
@@ -84,8 +82,7 @@ class CostBenefitFunction:
 MAX_GRID_STEPS = 1_000_000
 
 
-@dataclass(frozen=True)
-class MeetingDomain:
+class MeetingDomain(Value):
     """Search window for the combined exposure z = group_size * duration."""
 
     z_min: float = 0.1
@@ -110,8 +107,7 @@ class MeetingDomain:
         return points
 
 
-@dataclass(frozen=True)
-class GroupMeeting:
+class GroupMeeting(Value):
     """A meeting with ``group_size`` potential sources for ``duration`` time."""
 
     group_size: float
@@ -160,10 +156,15 @@ def stay_home_decision(params: DistancingParams) -> StayHomeDecision:
 
 
 def group_infection_probability(rho: float, meeting: GroupMeeting) -> float:
-    """Probability of catching the infection: 1 - (1 - rho)^(g*t)."""
+    """Probability of catching the infection: 1 - (1 - rho)^(g*t).
+
+    Computed as -expm1(z * log1p(-rho)), which keeps full relative precision
+    where the direct form cancels: 1 - rho drops the low digits of a small
+    rho.  rho = 1, which log1p cannot take, is the certain case.
+    """
     if not 0 <= rho <= 1:
         raise ValueError(f"rho must be within [0, 1], got {rho}")
-    return 1.0 - (1.0 - rho) ** meeting.z
+    return 1.0 if rho == 1 else -math.expm1(meeting.z * math.log1p(-rho))
 
 
 def z_objective(
@@ -183,9 +184,14 @@ def z_objective(
         raise DomainError(f"meeting objective needs positive mortality, got {m}")
     if z <= 0:
         raise DomainError(f"exposure z must be positive, got {z}")
+    # B(z) + C(z) from the coefficients, as CostBenefitFunction.__call__ computes it:
+    # two Python calls per evaluation would cost more than the stable risk below
+    stakes = benefit_fn.slope * z + benefit_fn.intercept + (cost_fn.slope * z + cost_fn.intercept)
     try:
-        return (benefit_fn(z) + cost_fn(z)) / ((1.0 - (1.0 - rho) ** z) * m)
-    except ZeroDivisionError:  # rho or m so small that the risk rounds to zero
+        # the stable form of 1 - (1-rho)^z, as in group_infection_probability
+        risk = 1.0 if rho == 1 else -math.expm1(z * math.log1p(-rho))
+        return stakes / (risk * m)
+    except ZeroDivisionError:  # risk * m underflows: rho or m is too small
         raise DomainError(f"meeting objective needs a nonzero risk (1 - (1-rho)^z) * m, got 0 at z={z}") from None
 
 

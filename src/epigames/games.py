@@ -9,8 +9,9 @@ order, so output is deterministic and reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
+
+from .value import Value
 
 DEFAULT_TOL = 1e-9
 
@@ -22,8 +23,7 @@ class StrategyProfile(NamedTuple):
     action_p2: int
 
 
-@dataclass(frozen=True)
-class ActionSet:
+class ActionSet(Value):
     """Ordered, unique action labels for one player."""
 
     labels: tuple[str, ...]
@@ -46,8 +46,7 @@ class ActionSet:
             raise ValueError(f"unknown action {label!r}; have {self.labels!r}") from None
 
 
-@dataclass(frozen=True)
-class CostTable:
+class CostTable(Value):
     """A total cost table over the action cross-product of two players.
 
     ``costs[i][j]`` is the pair ``(cost_p1, cost_p2)`` for player 1 playing
@@ -110,8 +109,7 @@ class CostTable:
         )
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(Value):
     """Bundle of pure equilibria, social optima, and weakly dominant actions."""
 
     pure_nash: tuple[StrategyProfile, ...]

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, FieldError
 from .games import ActionSet, CostTable
+from .value import Value
 
 ACTION_NO = "no"
 ACTION_OUT = "out"
@@ -47,8 +47,7 @@ class HealthStatus(enum.Enum):
     INFECTED = "infected"
 
 
-@dataclass(frozen=True)
-class MaskCosts:
+class MaskCosts(Value):
     """Cost constants of the mask games, in abstract currency units.
 
     User-facing inputs are strictly positive with c_out < c_in < c_infection,
@@ -76,8 +75,7 @@ class MaskCosts:
             )
 
 
-@dataclass(frozen=True)
-class BayesianSetting:
+class BayesianSetting(Value):
     """Infection prior and the opponent's mask-wearing probability."""
 
     rho: float
@@ -89,8 +87,7 @@ class BayesianSetting:
                 raise FieldError(f"{name} must be within [0, 1], got {getattr(self, name)}", name)
 
 
-@dataclass(frozen=True)
-class EfficiencyParams:
+class EfficiencyParams(Value):
     """Per-encounter infection multipliers of a worn mask (smaller is better).
 
     ``a`` scales the wearer's own infection probability, ``b`` scales onward
@@ -184,8 +181,7 @@ def efficiency_expected_cost(p: float, eff: EfficiencyParams, costs: MaskCosts) 
     )
 
 
-@dataclass(frozen=True)
-class EfficiencyAnalysis:
+class EfficiencyAnalysis(Value):
     """Closed-form shape analysis of the efficiency cost in p.
 
     The cost is quadratic with curvature 2*c_infection*(1-a)*(1-b) >= 0;

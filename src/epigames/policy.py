@@ -21,7 +21,6 @@ Conventions used by the evaluation:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 from .distancing import (
@@ -45,6 +44,7 @@ from .masks import (
     MaskCosts,
     bayesian_best_p2,
 )
+from .value import Value
 
 MASK_MANDATE = "mask_mandate"
 FREE_MASKS = "free_masks"
@@ -65,8 +65,7 @@ POLICY_PARAMS: dict[str, tuple[str, ...]] = {
 POLICY_KINDS = tuple(POLICY_PARAMS)
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(Value):
     """One government policy with its parameters.
 
     Exactly the parameters belonging to ``kind`` may be set; use the
@@ -83,7 +82,7 @@ class Policy:
         if self.kind not in POLICY_PARAMS:
             raise ValueError(f"unknown policy kind {self.kind!r}; have {POLICY_KINDS}")
         wanted = POLICY_PARAMS[self.kind]
-        for name in (f.name for f in fields(self) if f.name != "kind"):
+        for name in self._fields[1:]:  # every field after kind is a parameter
             value = getattr(self, name)
             if name in wanted and value is None:
                 raise ValueError(f"{self.kind} requires parameter {name!r}")
@@ -136,8 +135,7 @@ class Policy:
         return f"{self.kind}({params})" if params else self.kind
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Value):
     """Full input bundle for one what-if evaluation, plus policy annotations."""
 
     mask_costs: MaskCosts
@@ -164,8 +162,7 @@ class Scenario:
             )
 
 
-@dataclass(frozen=True)
-class DesignerCostModel:
+class DesignerCostModel(Value):
     """Linear designer cost: infections, testing outlay, suppressed benefit."""
 
     weight_infection: float
@@ -178,8 +175,7 @@ class DesignerCostModel:
                 raise FieldError(f"{name} must be non-negative, got {getattr(self, name)}", name)
 
 
-@dataclass(frozen=True)
-class CitizenOutcome:
+class CitizenOutcome(Value):
     """Per-citizen game results; group actions are None for empty groups."""
 
     decision: Decision
@@ -191,8 +187,7 @@ class CitizenOutcome:
     unrevealed_action: str | None
 
 
-@dataclass(frozen=True)
-class MechanismReport:
+class MechanismReport(Value):
     """Designer-facing outcome summary of one policy-set evaluation."""
 
     citizen_outcome: CitizenOutcome
@@ -213,15 +208,14 @@ def apply_policy(scenario: Scenario, policy: Policy) -> Scenario:
     """
     applied = scenario.policies_applied + (policy,)
     if policy.kind == MASK_MANDATE:
-        return replace(scenario, mask_mandate=True, policies_applied=applied)
+        return scenario.replace(mask_mandate=True, policies_applied=applied)
     if policy.kind == FREE_MASKS:
         costs = scenario.mask_costs
-        subsidized = replace(
-            costs,
+        subsidized = costs.replace(
             c_use=max(0.0, costs.c_use - policy.subsidy),
             c_out=max(0.0, costs.c_out - policy.subsidy),
         )
-        return replace(scenario, mask_costs=subsidized, policies_applied=applied)
+        return scenario.replace(mask_costs=subsidized, policies_applied=applied)
     if policy.kind == GATHERING_CAP:
         warnings = scenario.warnings
         if scenario.lockdown:
@@ -231,19 +225,16 @@ def apply_policy(scenario: Scenario, policy: Policy) -> Scenario:
             if scenario.gathering_limit is None
             else min(scenario.gathering_limit, policy.limit)
         )
-        return replace(
-            scenario, gathering_limit=limit, policies_applied=applied, warnings=warnings
-        )
+        return scenario.replace(gathering_limit=limit, policies_applied=applied, warnings=warnings)
     if policy.kind == LOCKDOWN:
         warnings = scenario.warnings
         if scenario.gathering_limit is not None:
             warnings += ("lockdown overrides gathering_cap (stricter policy wins)",)
-        return replace(scenario, lockdown=True, policies_applied=applied, warnings=warnings)
+        return scenario.replace(lockdown=True, policies_applied=applied, warnings=warnings)
     if policy.kind == MASS_TESTING:
-        return replace(scenario, revealed_fraction=1.0, policies_applied=applied)
+        return scenario.replace(revealed_fraction=1.0, policies_applied=applied)
     # targeted testing: reveal at least the traced fraction
-    return replace(
-        scenario,
+    return scenario.replace(
         revealed_fraction=max(scenario.revealed_fraction, policy.traced_fraction),
         policies_applied=applied,
     )

@@ -10,8 +10,8 @@ and key.
 from __future__ import annotations
 
 import configparser
+import io
 import math
-from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -19,10 +19,10 @@ from .distancing import CostBenefitFunction, DistancingParams, MeetingDomain
 from .errors import FieldError, ScenarioError
 from .masks import BayesianSetting, EfficiencyParams, MaskCosts
 from .policy import POLICY_KINDS, POLICY_PARAMS, DesignerCostModel, Policy, Scenario
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Value):
     """Parsed scenario file; absent sections are None (or carry defaults)."""
 
     mask_costs: MaskCosts | None = None
@@ -171,7 +171,7 @@ _SECTION_OF = {
 } | {"policy_sets": "policies"}
 
 # ScenarioConfig field -> the type its keys build; the types state the range rules
-_TYPES: dict[str, type] = {
+_TYPES: dict[str, type[Value]] = {
     "mask_costs": MaskCosts,
     "efficiency": EfficiencyParams,
     "bayesian": BayesianSetting,
@@ -189,9 +189,9 @@ def _build(section: str, field: str, given: dict[str | None, object]) -> object:
             raise ScenarioError(f"[{section}].{key_of[None]}: missing required key")
         return given[None]
     value_type = _TYPES[field]
-    for declared in fields(value_type):
-        if declared.name not in given and declared.default is MISSING:
-            raise ScenarioError(f"[{section}].{key_of[declared.name]}: missing required key")
+    for name in value_type._fields:
+        if name not in given and name not in value_type._field_defaults:
+            raise ScenarioError(f"[{section}].{key_of[name]}: missing required key")
     try:
         return value_type(**given)
     except FieldError as exc:
@@ -244,6 +244,23 @@ def _parse_policy_sets(
     return tuple(sets)
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    """The file's lines, decoded as UTF-8 with universal newlines."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        before = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).getvalue()
+        lineno = before.count("\n") + 1
+        raise ScenarioError(
+            f"malformed scenario file {path}: line {lineno}:"
+            f" byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+        ) from None
+
+
 def parse_scenario(path: str | Path) -> ScenarioConfig:
     """Read and fully validate a scenario file.
 
@@ -251,14 +268,23 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     states; the value types check every other range rule, and the reader
     names the file's section and keys in their errors.
     """
+    lines = _read_lines(path)
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys such as B, C, L are case-sensitive
     try:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle, source=str(path))
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
-    except configparser.Error as exc:
+        parser.read_file(lines, source=str(path))
+    except configparser.MissingSectionHeaderError as exc:  # a ParsingError, so caught first
+        raise ScenarioError(
+            f"malformed scenario file {path}: line {exc.lineno}: expected a [section] header,"
+            f" got {exc.line.strip()!r}"
+        ) from None
+    except configparser.ParsingError as exc:
+        lineno = exc.errors[0][0]
+        raise ScenarioError(
+            f"malformed scenario file {path}: line {lineno}: expected 'key = value',"
+            f" got {lines[lineno - 1].strip()!r}"
+        ) from None
+    except configparser.Error as exc:  # duplicates, whose one-line message names the line
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from None
 
     for section in parser.sections():

@@ -1,0 +1,71 @@
+"""Immutable value types: the one base every record of the toolkit derives from.
+
+A subclass lists its fields as annotated class attributes, in order; a class
+attribute gives a field its default.  Instances take the fields by position
+or keyword, run ``__post_init__`` to validate, refuse assignment and
+deletion, equal only an instance of the same class with equal fields, and
+print as ``Name(field=value, ...)``.  ``replace`` builds a changed copy and
+validates it again.  Unlike ``dataclasses``, the base costs next to nothing
+to import and to apply, which every command pays at start-up.
+"""
+
+from __future__ import annotations
+
+from typing import TypeVar
+
+_V = TypeVar("_V", bound="Value")
+
+
+class Value:
+    _fields: tuple[str, ...] = ()  # field names, in declaration order
+    _field_defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        cls._field_defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)} positionally")
+        given = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields or field in given:
+                problem = "a repeated" if field in given else "an unknown"
+                raise TypeError(f"{name}() got {problem} field {field!r}")
+        values = {**self._field_defaults, **given, **kwargs}
+        missing = [field for field in fields if field not in values]
+        if missing:
+            raise TypeError(f"{name}() is missing fields {', '.join(missing)}")
+        for field in fields:  # object.__setattr__ keeps attribute reads on CPython's fast path
+            object.__setattr__(self, field, values[field])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields' rules; a subclass overrides it and raises on a breach."""
+
+    def _values(self) -> tuple[object, ...]:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def replace(self: _V, **changes: object) -> _V:
+        """A copy with the given fields changed, validated again."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({fields})"

@@ -5,7 +5,10 @@ import contextlib
 import csv
 import hashlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -307,6 +310,36 @@ def test_int_beyond_every_float_exits_one_naming_the_key(
     _assert_one_line_scenario_error(*result, named)
 
 
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        pytest.param(b"[mask]\nc_out = 1\xff\n", ("line 2", "0xff", "UTF-8"), id="not-utf8"),
+        pytest.param(b"[mask]\nc_out = 1\nc_in\n", ("line 3", "'c_in'"), id="no-equals-sign"),
+        pytest.param(b"\xef\xbb\xbf[mask]\nc_out = 1\n", ("line 1", "header", "\\ufeff"), id="byte-order-mark"),
+    ],
+)
+def test_unreadable_file_exits_one_naming_file_and_line(tmp_path, capsys, content, named):
+    path = tmp_path / "raw.ini"
+    path.write_bytes(content)
+    result = run_cli(capsys, "mask-basic", "--scenario", str(path))
+    _assert_one_line_scenario_error(*result, (str(path), *named))
+
+
+def test_cli_import_loads_no_dataclasses_or_introspection():
+    # dataclasses and the introspection modules it imports would add about 35 ms to
+    # every command's start-up; -S keeps site hooks, which may import anything, out
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = (
+        "import sys, epigames.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
 BASELINE_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.ini"
 
 # sha256 of every report on scenarios/baseline.ini: a change that alters a report's
@@ -320,9 +353,9 @@ GOLDEN_DIGESTS = {
     ("mask-efficiency", "csv"): "81d8331e8a681527ca8703e20dfb3a25a18e9716642c6de593e11b955fbb6cf9",
     ("distancing", "table"): "d1b5bb665169c2023d016b3569807356d0f809ad9aab4737a4fc3b179ee7d5df",
     ("distancing", "csv"): "92e50d5c72687a5c0efab44502a344975da7d4ac576680cd1030d10e0609e303",
-    ("meeting-opt", "table"): "ae8a3b14a325ace6740e3a938ddb5424289bf034447f45a3213dc458cbbedd88",
+    ("meeting-opt", "table"): "9ea075c77488a31e55179a1d466944fb7c1b13cbbefa387e764480e47e97f911",
     ("meeting-opt", "csv"): "623b3033ca1f819ea74b924b132a52dd59b6a3d909a938f4f4c6c14928597c32",
-    ("curves", "table"): "355fd13eedf8706621feba6f27281c5280dac1b7e8cfa39fe9506b8cf85b8780",
+    ("curves", "table"): "6b760e8749ac7179349ca67ce2af1d53e1a9b074b2409ea340483de40afe9d38",
     ("curves", "csv"): "70c46a1c91c204ae18435f09fe753a39f662bdab293f0023d96deb897827d586",
     ("policy-compare", "table"): "a342f62145ad66dd8b60fd5f732957f3af8104da8ebbd1f46c9486046eefc44b",
     ("policy-compare", "csv"): "1a2478c51900dc5ea0d706e55bb71f7e99bb0ce343f0c7d5ffbb308d460b3d29",
@@ -352,7 +385,7 @@ def test_overflowing_aggregate_exits_two_naming_it(tmp_path, capsys):
     "command, section, key, value, message",
     [
         pytest.param(
-            "meeting-opt", "distancing", "rho", "1e-200",
+            "meeting-opt", "distancing", "m", "1e-321",
             "meeting objective needs a nonzero risk (1 - (1-rho)^z) * m, got 0 at z=0.1",
             id="risk-underflow",
         ),
@@ -370,6 +403,16 @@ def test_float_range_failures_exit_two_naming_them(
     for flags in ([], ["--verify"]):
         code, out, err = run_cli(capsys, command, "--scenario", path, *flags)
         assert (code, out, err) == (2, "", f"epigames: domain error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["meeting-opt", "curves", "policy-compare"])
+def test_tiny_infection_risk_gives_a_report(tmp_path, capsys, command):
+    # the risk at z_min is about 1e-201: 1 - (1-rho)^z rounded it to 0, its stable form does not
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), [("distancing", "rho", "1e-200")])
+    for flags in ([], ["--verify"]):
+        code, out, err = run_cli(capsys, command, "--scenario", path, "--format", "csv", *flags)
+        assert (code, err) == (0, "")
+        assert not {"nan", "inf", "-inf"} & {cell for row in parse_csv(out) for cell in row}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Tests for the distancing decision and meeting optimization."""
 
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -30,6 +32,19 @@ US_LIFE_VALUE = 11.3e6
 
 def us_params(benefit, home_cost, life_value=US_LIFE_VALUE):
     return DistancingParams(benefit, home_cost, US_MORTALITY, life_value, US_ACTIVE_SHARE)
+
+
+ONE = CostBenefitFunction.constant(1.0)
+ZERO = CostBenefitFunction.constant(0.0)
+RISK_REL_TOL = Decimal(4 * sys.float_info.epsilon)
+
+
+def reference_risk(rho, z):
+    """1 - (1 - rho)^z to 50 significant digits, from the floats' exact values."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rho, z = Decimal(rho), Decimal(z)
+        return 1 - ((1 - rho).ln() * z).exp() if rho < 1 else Decimal(1)
 
 
 class TestDistancingUtility:
@@ -122,6 +137,21 @@ class TestGroupInfectionProbability:
 
     def test_saturates_for_long_meetings(self):
         assert group_infection_probability(0.2, GroupMeeting(100, 100)) == pytest.approx(1.0)
+
+    def test_certain_infection_at_full_risk(self):
+        assert group_infection_probability(1.0, GroupMeeting(0.1, 1.0)) == 1.0
+
+    @given(st.floats(-12, 0), st.floats(0.1, 100))
+    def test_matches_a_50_digit_reference(self, log10_rho, z):
+        # rho log-uniform in [1e-12, 1]: 1 - (1-rho)^z computed directly loses
+        # up to 8e-5 of its relative precision at small rho
+        rho = 10.0**log10_rho
+        exact = reference_risk(rho, z)
+        for risk in (
+            group_infection_probability(rho, GroupMeeting(z, 1.0)),
+            1 / z_objective(z, ONE, ZERO, rho, 1.0),
+        ):
+            assert abs(Decimal(risk) - exact) <= exact * RISK_REL_TOL
 
 
 class TestZObjective:

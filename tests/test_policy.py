@@ -1,7 +1,5 @@
 """Tests for policy transformations and mechanism evaluation."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,11 +116,11 @@ class TestApplyPolicy:
         for policy in policies:
             transformed = apply_policy(scenario, policy)
             assert transformed.policies_applied == (policy,)
-            for field in dataclasses.fields(Scenario):
-                if field.name in touched[policy.kind] | {"policies_applied", "warnings"}:
+            for field in Scenario._fields:
+                if field in touched[policy.kind] | {"policies_applied", "warnings"}:
                     continue
-                assert getattr(transformed, field.name) == getattr(scenario, field.name), (
-                    f"{policy.kind} touched unrelated field {field.name}"
+                assert getattr(transformed, field) == getattr(scenario, field), (
+                    f"{policy.kind} touched unrelated field {field}"
                 )
 
     def test_zero_subsidy_is_identity_on_costs(self):
