@@ -344,11 +344,12 @@ def _cmd_curves(config: ScenarioConfig, opts: ReportOptions) -> str:
     if opts.verify:
         mismatches = []
         for z, value in series:
-            # same objective through the group-meeting composition
-            composed = (benefit_fn(z) + cost_fn(z)) / (
+            # same objective through the group-meeting composition; no risk, no bound
+            risk = (
                 group_infection_probability(params.infection_prob, GroupMeeting(z, 1.0))
                 * params.mortality
             )
+            composed = (benefit_fn(z) + cost_fn(z)) / risk if risk else math.inf
             if not math.isclose(value, composed, rel_tol=1e-12, abs_tol=1e-12):
                 mismatches.append(f"objective at z={z} disagrees with composed form")
                 break

@@ -68,11 +68,27 @@ class CostBenefitFunction(Value):
     def linear(cls, slope: float, intercept: float = 0.0) -> "CostBenefitFunction":
         return cls("linear", float(slope), float(intercept))
 
+    @classmethod
+    def parse(cls, text: str) -> "CostBenefitFunction":
+        """The function of an ``encode()`` text: 'constant:k' or 'linear:slope,intercept'."""
+        kind, _, args = (part.strip() for part in text.partition(":"))
+        arity = {"constant": 1, "linear": 2}.get(kind)
+        if arity is None:
+            raise ValueError(f"expected 'constant:k' or 'linear:slope,intercept', got {text!r}")
+        try:
+            numbers = [float(part) for part in args.split(",")]
+        except ValueError:
+            raise ValueError(f"malformed coefficients in {text!r}") from None
+        if len(numbers) != arity:
+            count = "one coefficient" if arity == 1 else "two coefficients"
+            raise ValueError(f"{kind} takes exactly {count}")
+        return cls.constant(*numbers) if kind == "constant" else cls.linear(*numbers)
+
     def __call__(self, z: float) -> float:
         return self.slope * z + self.intercept
 
     def encode(self) -> str:
-        """Exact text form, re-parseable by the scenario reader."""
+        """Exact text form, which ``parse`` reads back."""
         if self.kind == "constant":
             return f"constant:{self.intercept!r}"
         return f"linear:{self.slope!r},{self.intercept!r}"
@@ -176,12 +192,13 @@ def z_objective(
 ) -> float:
     """Risk-adjusted stakes of a meeting: (B(z) + C(z)) / ((1 - (1-rho)^z) * m).
 
-    Going out is justified when this exceeds the player's life value.
+    Going out is justified when this exceeds the player's life value.  With no
+    risk (rho = 0 or m = 0) the stakes are unbounded: inf, as in ``stay_home_decision``.
     """
-    if rho <= 0 or rho > 1:
-        raise DomainError(f"meeting objective needs infection probability in (0, 1], got {rho}")
-    if m <= 0:
-        raise DomainError(f"meeting objective needs positive mortality, got {m}")
+    if not 0 <= rho <= 1:
+        raise DomainError(f"meeting objective needs infection probability in [0, 1], got {rho}")
+    if m < 0:
+        raise DomainError(f"meeting objective needs non-negative mortality, got {m}")
     if z <= 0:
         raise DomainError(f"exposure z must be positive, got {z}")
     # B(z) + C(z) from the coefficients, as CostBenefitFunction.__call__ computes it:
@@ -191,7 +208,9 @@ def z_objective(
         # the stable form of 1 - (1-rho)^z, as in group_infection_probability
         risk = 1.0 if rho == 1 else -math.expm1(z * math.log1p(-rho))
         return stakes / (risk * m)
-    except ZeroDivisionError:  # risk * m underflows: rho or m is too small
+    except ZeroDivisionError:  # risk * m is 0: no risk, or rho or m too small to register
+        if rho == 0 or m == 0:
+            return math.inf
         raise DomainError(f"meeting objective needs a nonzero risk (1 - (1-rho)^z) * m, got 0 at z={z}") from None
 
 
@@ -218,6 +237,7 @@ def optimal_meeting(
     objective is quasi-convex (Boyd & Vandenberghe, Convex Optimization,
     3.4.1) and its maximum lies at z_min or z_max, which the grid holds
     exactly.  Interior samples win only by rounding noise where it is flat.
+    With no risk (rho = 0 or m = 0) every sample is inf and z_min wins the tie.
     """
     points = domain.grid()
     best_z, best_f = points[0], z_objective(points[0], benefit_fn, cost_fn, rho, m)

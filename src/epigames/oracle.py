@@ -46,8 +46,9 @@ class GridPoint(NamedTuple):
 def grid_argmin(fn: Callable[[float], float], lo: float, hi: float, steps: int) -> GridPoint:
     """Minimizing sample of ``fn`` over a uniform grid of ``steps`` points.
 
-    Ties break toward smaller x. Raises DomainError on a non-finite value,
-    naming the offending sample point.
+    Ties break toward smaller x; infinite values compare as usual, so a
+    function that is -inf everywhere gives lo.  Raises DomainError on a nan
+    value, naming the offending sample point.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -58,8 +59,8 @@ def grid_argmin(fn: Callable[[float], float], lo: float, hi: float, steps: int) 
     for k in range(steps):
         x = hi if k == steps - 1 else lo + k * width
         f = fn(x)
-        if not math.isfinite(f):
-            raise DomainError(f"objective is not finite at x={x!r} (got {f!r})")
+        if math.isnan(f):
+            raise DomainError(f"objective is nan at x={x!r}")
         if best_f is None or f < best_f:
             best_x, best_f = x, f
     return GridPoint(best_x, best_f)

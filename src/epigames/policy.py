@@ -21,7 +21,7 @@ Conventions used by the evaluation:
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .distancing import (
     CostBenefitFunction,
@@ -65,11 +65,24 @@ POLICY_PARAMS: dict[str, tuple[str, ...]] = {
 POLICY_KINDS = tuple(POLICY_PARAMS)
 
 
+def _check_params(kind: str, given: Collection[str]) -> None:
+    """Raise ValueError unless ``kind`` is a policy kind and ``given`` is exactly its parameters."""
+    if kind not in POLICY_PARAMS:
+        raise ValueError(f"unknown policy kind {kind!r}; have {', '.join(POLICY_KINDS)}")
+    wanted = POLICY_PARAMS[kind]
+    stray = [name for name in given if name not in wanted]
+    missing = [name for name in wanted if name not in given]
+    if stray or missing:
+        problem = f"does not take {stray[0]!r}" if stray else f"missing {', '.join(missing)}"
+        takes = ", ".join(wanted) or "no parameters"
+        raise ValueError(f"policy {kind} requires {takes}; {problem}")
+
+
 class Policy(Value):
     """One government policy with its parameters.
 
     Exactly the parameters belonging to ``kind`` may be set; use the
-    factory classmethods rather than the raw constructor.
+    factory classmethods or ``parse`` rather than the raw constructor.
     """
 
     kind: str
@@ -79,15 +92,8 @@ class Policy(Value):
     traced_fraction: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_PARAMS:
-            raise ValueError(f"unknown policy kind {self.kind!r}; have {POLICY_KINDS}")
-        wanted = POLICY_PARAMS[self.kind]
-        for name in self._fields[1:]:  # every field after kind is a parameter
-            value = getattr(self, name)
-            if name in wanted and value is None:
-                raise ValueError(f"{self.kind} requires parameter {name!r}")
-            if name not in wanted and value is not None:
-                raise ValueError(f"{self.kind} does not take parameter {name!r}")
+        params = self._fields[1:]  # every field after kind is a parameter
+        _check_params(self.kind, [name for name in params if getattr(self, name) is not None])
         if self.subsidy is not None and self.subsidy < 0:
             raise ValueError(f"subsidy must be non-negative, got {self.subsidy}")
         if self.limit is not None:
@@ -101,6 +107,20 @@ class Policy(Value):
             raise ValueError(
                 f"traced_fraction must be within [0, 1], got {self.traced_fraction}"
             )
+
+    @classmethod
+    def parse(cls, text: str) -> "Policy":
+        """The policy of an ``encode()`` text: its kind, then name=value per parameter."""
+        kind, *tokens = text.split() or [""]
+        given = dict(token.partition("=")[::2] for token in tokens)  # name -> value text
+        _check_params(kind, given)  # here too: a name that is no field fails in the constructor
+        params: dict[str, float | int] = {}
+        for name, raw in given.items():
+            try:
+                params[name] = int(raw) if name == "limit" else float(raw)
+            except ValueError:
+                raise ValueError(f"expected a number for {name}, got {raw!r}") from None
+        return cls(kind, **params)
 
     @classmethod
     def mask_mandate(cls) -> "Policy":
@@ -133,6 +153,11 @@ class Policy(Value):
     def describe(self) -> str:
         params = ";".join(f"{name}={getattr(self, name):g}" for name in POLICY_PARAMS[self.kind])
         return f"{self.kind}({params})" if params else self.kind
+
+    def encode(self) -> str:
+        """Exact text form, which ``parse`` reads back."""
+        params = [f"{name}={getattr(self, name)!r}" for name in POLICY_PARAMS[self.kind]]
+        return " ".join([self.kind] + params)
 
 
 class Scenario(Value):

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import configparser
 import io
-import math
 from pathlib import Path
 from typing import Callable
 
 from .distancing import CostBenefitFunction, DistancingParams, MeetingDomain
 from .errors import FieldError, ScenarioError
 from .masks import BayesianSetting, EfficiencyParams, MaskCosts
-from .policy import POLICY_KINDS, POLICY_PARAMS, DesignerCostModel, Policy, Scenario
+from .policy import DesignerCostModel, Policy, Scenario
 from .value import Value
 
 
@@ -56,81 +55,59 @@ class ScenarioConfig(Value):
         return Scenario(**given, efficiency=self.efficiency, meeting_domain=self.meeting_domain)
 
 
-def _finite(value: float | int, where: str, raw: str) -> None:
-    """Reject nan, infinities and ints beyond every float: no scenario quantity may take them."""
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int too large to convert to float
-        finite = False
-    if not finite:
-        raise ScenarioError(f"{where}: expected a finite number, got {raw!r}")
+# the most bytes a scenario file may hold; the bundled one has under 1 KiB
+MAX_SCENARIO_BYTES = 1 << 20
 
 
-def _number(raw: str, where: str) -> float:
+# The readers turn a key's text into its value and raise ValueError when they
+# cannot; the value types then check every range rule but the two below.
+def _number(raw: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
-        raise ScenarioError(f"{where}: expected a number, got {raw!r}") from None
-    _finite(value, where, raw)
-    return value
+        raise ValueError(f"expected a number, got {raw!r}") from None
 
 
-def _integer(raw: str, where: str) -> int:
+def _integer(raw: str) -> int:
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
-        raise ScenarioError(f"{where}: expected an integer, got {raw!r}") from None
-    _finite(value, where, raw)
-    return value
+        raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
-def _price(raw: str, where: str) -> float:
+def _price(raw: str) -> float:
     # MaskCosts accepts a zero c_out or c_use, which a free_masks subsidy can reach,
     # but a scenario file gives market prices
-    value = _number(raw, where)
+    value = _number(raw)
     if value <= 0:
-        raise ScenarioError(f"{where}: must be > 0, got {raw}")
+        raise ValueError(f"must be > 0, got {raw}")
     return value
 
 
-def _population(raw: str, where: str) -> int:
+def _population(raw: str) -> int:
     # no value type holds the population until to_scenario builds a Scenario
-    value = _integer(raw, where)
+    value = _integer(raw)
     if value < 2:
-        raise ScenarioError(f"{where}: must be >= 2, got {raw}")
+        raise ValueError(f"must be >= 2, got {raw}")
     return value
 
 
-def _function(raw: str, where: str) -> CostBenefitFunction:
-    text = raw.strip()
-    kind, sep, args = text.partition(":")
-    kind = kind.strip()
-    if not sep or kind not in ("constant", "linear"):
-        raise ScenarioError(
-            f"{where}: expected 'constant:k' or 'linear:slope,intercept', got {raw!r}"
-        )
+def _policies(raw: str) -> tuple[Policy, ...]:
+    return tuple(Policy.parse(entry) for entry in raw.split(",") if entry.strip())
+
+
+def _read(read: Callable[[str], object], raw: str, section: str, key: str) -> object:
+    """``read(raw)``, with its ValueError named by the file's section and key."""
     try:
-        numbers = [float(part) for part in args.split(",")]
-    except ValueError:
-        raise ScenarioError(f"{where}: malformed coefficients in {raw!r}") from None
-    for number in numbers:
-        _finite(number, where, raw)
-    try:
-        if kind == "constant":
-            if len(numbers) != 1:
-                raise ValueError("constant takes exactly one coefficient")
-            return CostBenefitFunction.constant(numbers[0])
-        if len(numbers) != 2:
-            raise ValueError("linear takes exactly two coefficients")
-        return CostBenefitFunction.linear(numbers[0], numbers[1])
+        return read(raw)
     except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+        raise ScenarioError(f"[{section}].{key}: {exc}") from None
 
 
 # section -> key -> (ScenarioConfig field, attribute of the field's value, reader of the
 # key's text), in file order; attribute None means the field is the value itself.
 # [policies] keys are user-chosen policy-set names.
-_SECTIONS: dict[str, dict[str, tuple[str, str | None, Callable[[str, str], object]]] | None] = {
+_SECTIONS: dict[str, dict[str, tuple[str, str | None, Callable[[str], object]]] | None] = {
     "mask": {
         "c_out": ("mask_costs", "c_out", _price),
         "c_in": ("mask_costs", "c_in", _number),
@@ -148,8 +125,8 @@ _SECTIONS: dict[str, dict[str, tuple[str, str | None, Callable[[str, str], objec
         "rho": ("distancing", "infection_prob", _number),
     },
     "functions": {
-        "benefit": ("benefit_fn", None, _function),
-        "cost": ("cost_fn", None, _function),
+        "benefit": ("benefit_fn", None, CostBenefitFunction.parse),
+        "cost": ("cost_fn", None, CostBenefitFunction.parse),
     },
     "meeting": {
         "z_min": ("meeting_domain", "z_min", _number),
@@ -199,57 +176,15 @@ def _build(section: str, field: str, given: dict[str | None, object]) -> object:
         raise ScenarioError(f"[{section}].{named}: {exc}") from None
 
 
-def _parse_policy(set_name: str, text: str) -> Policy:
-    tokens = text.split()
-    kind = tokens[0]
-    if kind not in POLICY_KINDS:
-        raise ScenarioError(
-            f"[policies].{set_name}: unknown policy {kind!r}; have {', '.join(POLICY_KINDS)}"
-        )
-    allowed = POLICY_PARAMS[kind]
-    params: dict[str, float | int] = {}
-    for token in tokens[1:]:
-        name, sep, raw_value = token.partition("=")
-        if not sep or name not in allowed:
-            raise ScenarioError(
-                f"[policies].{set_name}: policy {kind} takes"
-                f" {'no parameters' if not allowed else 'parameters ' + ', '.join(allowed)},"
-                f" got {token!r}"
-            )
-        try:
-            params[name] = int(raw_value) if name == "limit" else float(raw_value)
-        except ValueError:
-            raise ScenarioError(
-                f"[policies].{set_name}: expected a number for {name}, got {raw_value!r}"
-            ) from None
-        _finite(params[name], f"[policies].{set_name}", token)
-    missing = [name for name in allowed if name not in params]
-    if missing:
-        raise ScenarioError(
-            f"[policies].{set_name}: policy {kind} is missing {', '.join(missing)}"
-        )
-    try:
-        return Policy(kind, **params)
-    except ValueError as exc:
-        raise ScenarioError(f"[policies].{set_name}: {exc}") from None
-
-
-def _parse_policy_sets(
-    parser: configparser.ConfigParser,
-) -> tuple[tuple[str, tuple[Policy, ...]], ...]:
-    sets = []
-    for name, raw in parser.items("policies"):
-        entries = [part.strip() for part in raw.split(",") if part.strip()]
-        sets.append((name, tuple(_parse_policy(name, entry) for entry in entries)))
-    return tuple(sets)
-
-
 def _read_lines(path: str | Path) -> list[str]:
     """The file's lines, decoded as UTF-8 with universal newlines."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_SCENARIO_BYTES + 1)  # a device such as /dev/zero never ends
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
+    if len(data) > MAX_SCENARIO_BYTES:
+        raise ScenarioError(f"scenario file {path} is larger than {MAX_SCENARIO_BYTES} bytes")
     try:
         return io.StringIO(data.decode("utf-8"), newline=None).readlines()
     except UnicodeDecodeError as exc:
@@ -265,8 +200,8 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     """Read and fully validate a scenario file.
 
     The reader checks names, syntax, presence and the two range rules no type
-    states; the value types check every other range rule, and the reader
-    names the file's section and keys in their errors.
+    states; the value types check finiteness and every other range rule, and
+    the reader names the file's section and keys in their errors.
     """
     lines = _read_lines(path)
     parser = configparser.ConfigParser(interpolation=None)
@@ -296,18 +231,23 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     for section, keys in _SECTIONS.items():
         if not parser.has_section(section):
             continue
-        if keys is None:
-            values["policy_sets"] = _parse_policy_sets(parser)
+        if keys is None:  # [policies]: each key names a list of policies
+            values["policy_sets"] = tuple(
+                (name, _read(_policies, raw, section, name)) for name, raw in parser.items(section)
+            )
             continue
         given: dict[str, dict[str | None, object]] = {field: {} for field, _, _ in keys.values()}
         for key, raw in parser.items(section):
             if key not in keys:
                 raise ScenarioError(f"[{section}].{key}: unknown key; have {', '.join(keys)}")
             field, attr, read = keys[key]
-            given[field][attr] = read(raw, f"[{section}].{key}")
+            given[field][attr] = _read(read, raw, section, key)
         for field, attrs in given.items():
             values[field] = _build(section, field, attrs)
-    return ScenarioConfig(**values)
+    try:
+        return ScenarioConfig(**values)
+    except FieldError as exc:  # the population is the one number no section type holds
+        raise ScenarioError(f"[population].n: {exc}") from None
 
 
 def format_scenario(config: ScenarioConfig) -> str:
@@ -318,7 +258,7 @@ def format_scenario(config: ScenarioConfig) -> str:
             if config.policy_sets is None:
                 continue
             pairs = [
-                (name, ", ".join(_encode_policy(p) for p in policies))
+                (name, ", ".join(policy.encode() for policy in policies))
                 for name, policies in config.policy_sets
             ]
         else:
@@ -336,8 +276,3 @@ def format_scenario(config: ScenarioConfig) -> str:
 def _encode_value(holder: object, attr: str | None) -> str:
     value = holder if attr is None else getattr(holder, attr)
     return value.encode() if isinstance(value, CostBenefitFunction) else repr(value)
-
-
-def _encode_policy(policy: Policy) -> str:
-    params = [f"{name}={getattr(policy, name)!r}" for name in POLICY_PARAMS[policy.kind]]
-    return " ".join([policy.kind] + params)

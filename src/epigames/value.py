@@ -2,7 +2,8 @@
 
 A subclass lists its fields as annotated class attributes, in order; a class
 attribute gives a field its default.  Instances take the fields by position
-or keyword, run ``__post_init__`` to validate, refuse assignment and
+or keyword, refuse a number field that is nan, infinite or an int beyond
+every float, run ``__post_init__`` to validate, refuse assignment and
 deletion, equal only an instance of the same class with equal fields, and
 print as ``Name(field=value, ...)``.  ``replace`` builds a changed copy and
 validates it again.  Unlike ``dataclasses``, the base costs next to nothing
@@ -11,9 +12,13 @@ to import and to apply, which every command pays at start-up.
 
 from __future__ import annotations
 
+import sys
 from typing import TypeVar
 
+from .errors import FieldError
+
 _V = TypeVar("_V", bound="Value")
+_FLOAT_MAX = sys.float_info.max
 
 
 class Value:
@@ -38,8 +43,13 @@ class Value:
         missing = [field for field in fields if field not in values]
         if missing:
             raise TypeError(f"{name}() is missing fields {', '.join(missing)}")
-        for field in fields:  # object.__setattr__ keeps attribute reads on CPython's fast path
-            object.__setattr__(self, field, values[field])
+        for field in fields:
+            value = values[field]
+            # one comparison refuses nan, the infinities and ints beyond every float
+            if isinstance(value, (int, float)) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                shown = repr(value) if isinstance(value, float) else "an int too large for a float"
+                raise FieldError(f"{field} must be a finite number, got {shown}", field)
+            object.__setattr__(self, field, value)  # keeps attribute reads on CPython's fast path
         self.__post_init__()
 
     def __post_init__(self) -> None:

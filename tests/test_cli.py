@@ -20,7 +20,7 @@ from conftest import SAMPLE_PARAMS
 from epigames import cli, oracle
 from epigames.distancing import MAX_GRID_STEPS
 from epigames.policy import POLICY_PARAMS
-from epigames.scenario import _SECTIONS
+from epigames.scenario import MAX_SCENARIO_BYTES, _SECTIONS
 
 BASELINE = """\
 [mask]
@@ -203,9 +203,10 @@ class TestExitCodes:
         assert code == 1 and "[mask] section" in err
 
     def test_domain_error_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "norisk.ini"
+        # the risk (1 - (1-rho)^z) * m at z_min underflows to 0
+        path = tmp_path / "underflow.ini"
         path.write_text(
-            "[distancing]\nB = 1\nC = 1\nm = 0.034\nL = 10\nrho = 0\n"
+            "[distancing]\nB = 1\nC = 1\nm = 1e-321\nL = 10\nrho = 0.0077\n"
             "[functions]\nbenefit = constant:1\ncost = constant:1\n",
             encoding="utf-8",
         )
@@ -413,6 +414,48 @@ def test_tiny_infection_risk_gives_a_report(tmp_path, capsys, command):
         code, out, err = run_cli(capsys, command, "--scenario", path, "--format", "csv", *flags)
         assert (code, err) == (0, "")
         assert not {"nan", "inf", "-inf"} & {cell for row in parse_csv(out) for cell in row}
+
+
+@pytest.mark.parametrize("key", ["rho", "m"])
+@pytest.mark.parametrize("command", ["meeting-opt", "curves", "policy-compare"])
+def test_zero_risk_goes_out_at_z_min_with_unbounded_stakes(tmp_path, capsys, command, key):
+    edits = [("distancing", key, "0"), ("meeting", "grid_steps", "40")]
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    for flags in ([], ["--verify"]):
+        code, out, err = run_cli(capsys, command, "--scenario", path, "--format", "csv", *flags)
+        assert (code, err) == (0, "")
+        header, *rows = parse_csv(out)
+        records = [dict(zip(header, row)) for row in rows]
+        if command == "meeting-opt":
+            assert [(r["z_star"], r["value"], r["decision"]) for r in records] == [("0.1", "inf", "go")]
+        elif command == "curves":
+            assert len(records) == 41 and {r["objective"] for r in records} == {"inf"}
+        else:  # every set but the lockdown goes out at z_min; with rho = 0 no one is infected
+            assert {(r["decision"], r["z_star"]) for r in records if r["name"] != "shutdown"} == {("go", "0.1")}
+            assert key == "m" or {r["expected_infections"] for r in records} == {"0"}
+
+
+def test_scenario_at_the_size_cap_is_read(tmp_path, capsys):
+    text = BASELINE_FILE.read_bytes()
+    path = tmp_path / "padded.ini"
+    path.write_bytes(text + b"#" * (MAX_SCENARIO_BYTES - len(text) - 1) + b"\n")
+    assert path.stat().st_size == MAX_SCENARIO_BYTES
+    assert run_cli(capsys, "mask-basic", "--scenario", str(path)) == run_cli(
+        capsys, "mask-basic", "--scenario", str(BASELINE_FILE)
+    )
+
+
+def test_scenario_over_the_size_cap_exits_one_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "huge.ini"
+    path.write_bytes(b"#" * (MAX_SCENARIO_BYTES + 1))
+    result = run_cli(capsys, "mask-basic", "--scenario", str(path))
+    _assert_one_line_scenario_error(*result, (str(path), f"larger than {MAX_SCENARIO_BYTES} bytes"))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_device_exits_one_after_reading_past_the_cap(capsys):
+    result = run_cli(capsys, "mask-basic", "--scenario", "/dev/zero")
+    _assert_one_line_scenario_error(*result, ("/dev/zero", "larger than"))
 
 
 @pytest.mark.parametrize(

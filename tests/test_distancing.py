@@ -191,11 +191,18 @@ class TestZObjective:
         benefit = CostBenefitFunction.constant(10)
         cost = CostBenefitFunction.constant(5)
         with pytest.raises(DomainError, match="infection probability"):
-            z_objective(1.0, benefit, cost, 0.0, 0.034)
+            z_objective(1.0, benefit, cost, 1.5, 0.034)
         with pytest.raises(DomainError, match="mortality"):
-            z_objective(1.0, benefit, cost, 0.5, 0.0)
+            z_objective(1.0, benefit, cost, 0.5, -0.5)
         with pytest.raises(DomainError, match="z must be positive"):
             z_objective(0.0, benefit, cost, 0.5, 0.5)
+
+    @pytest.mark.parametrize("rho, m", [(0.0, 0.034), (0.5, 0.0), (0.0, 0.0)])
+    def test_zero_risk_makes_the_stakes_unbounded(self, rho, m):
+        benefit, cost = CostBenefitFunction.constant(0), CostBenefitFunction.linear(2, 1)
+        assert z_objective(1.0, benefit, cost, rho, m) == math.inf
+        optimum = optimal_meeting(benefit, cost, rho, m, MeetingDomain(0.5, 10.0, 20))
+        assert optimum == (0.5, math.inf)  # every sample ties, so z_min wins
 
 
 class TestOptimalMeeting:
@@ -396,6 +403,34 @@ class TestInputTypes:
         fn = CostBenefitFunction.linear(0.1, 2.5)
         assert fn.encode() == "linear:0.1,2.5"
         assert CostBenefitFunction.constant(4).encode() == "constant:4.0"
+
+    @given(
+        st.one_of(
+            st.floats(0, sys.float_info.max).map(CostBenefitFunction.constant),
+            st.builds(
+                CostBenefitFunction.linear,
+                st.floats(0, sys.float_info.max),
+                st.floats(0, sys.float_info.max),
+            ),
+        )
+    )
+    def test_parse_reads_back_encode(self, fn):
+        assert CostBenefitFunction.parse(fn.encode()) == fn
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("quadratic:1", "expected 'constant:k' or 'linear:slope,intercept'"),
+            ("constant 1", "expected 'constant:k'"),
+            ("constant:one", "malformed coefficients"),
+            ("constant:1,2", "constant takes exactly one coefficient"),
+            ("linear:1", "linear takes exactly two coefficients"),
+            ("linear:-1,0", "non-negative"),
+        ],
+    )
+    def test_parse_names_what_is_wrong(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            CostBenefitFunction.parse(text)
 
     def test_distancing_params_ranges(self):
         with pytest.raises(ValueError, match="mortality"):

@@ -58,6 +58,10 @@ class TestGridArgmin:
         with pytest.raises(DomainError, match="x=0.5"):
             oracle.grid_argmin(lambda x: math.nan if x == 0.5 else x, 0.0, 1.0, 3)
 
+    def test_infinite_values_tie_toward_smaller_x(self):
+        point = oracle.grid_argmin(lambda x: -math.inf, 0.0, 1.0, 5)
+        assert point == (0.0, -math.inf)
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="lo < hi"):
             oracle.grid_argmin(lambda x: x, 1.0, 0.0, 10)

@@ -51,6 +51,14 @@ def make_scenario(**overrides):
 MODEL = DesignerCostModel(weight_infection=10_000, weight_test=1.0, weight_economic=1.0)
 
 
+_PARAM_VALUES = {
+    "subsidy": st.floats(0, 1e300),
+    "limit": st.integers(1, 10**300),
+    "per_test_cost": st.floats(0, 1e300),
+    "traced_fraction": st.floats(0, 1),
+}
+
+
 class TestPolicyType:
     def test_factories_build_valid_policies(self):
         assert Policy.mask_mandate().kind == "mask_mandate"
@@ -86,6 +94,32 @@ class TestPolicyType:
 
     def test_kinds_are_the_parameter_table_keys(self):
         assert POLICY_KINDS == tuple(POLICY_PARAMS)
+
+    @given(
+        st.sampled_from(POLICY_KINDS).flatmap(
+            lambda kind: st.fixed_dictionaries(
+                {name: _PARAM_VALUES[name] for name in POLICY_PARAMS[kind]}
+            ).map(lambda params: Policy(kind, **params))
+        )
+    )
+    def test_parse_reads_back_encode(self, policy):
+        assert Policy.parse(policy.encode()) == policy
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "unknown policy kind ''"),
+            ("curfew", "unknown policy kind 'curfew'"),
+            ("lockdown level=9", "requires no parameters; does not take 'level'"),
+            ("free_masks", "requires subsidy; missing subsidy"),
+            ("free_masks subsidy", "expected a number for subsidy, got ''"),
+            ("gathering_cap limit=2.5", "expected a number for limit"),
+            ("free_masks subsidy=-1", "subsidy must be non-negative"),
+        ],
+    )
+    def test_parse_names_what_is_wrong(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            Policy.parse(text)
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_describe_lists_parameters_in_table_order(self, kind):

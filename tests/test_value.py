@@ -1,10 +1,25 @@
 """Tests for the immutable value-type base."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from epigames import BayesianSetting, EfficiencyParams, MeetingDomain, Policy
+from conftest import sample_policy
+from epigames import (
+    BayesianSetting,
+    CostBenefitFunction,
+    DesignerCostModel,
+    DistancingParams,
+    EfficiencyParams,
+    GroupMeeting,
+    MaskCosts,
+    MeetingDomain,
+    Policy,
+    Scenario,
+)
 from epigames.errors import FieldError
+from epigames.policy import POLICY_KINDS
 from epigames.value import Value
 
 
@@ -83,3 +98,62 @@ def test_replace_changes_a_copy_and_validates_it_again():
         domain.replace(grid_steps=0)
     with pytest.raises(TypeError, match="unknown field"):
         domain.replace(steps=7)
+
+
+_COSTS = MaskCosts(1.0, 10.0, 100.0, 1000.0)
+_DISTANCING = DistancingParams(3000.0, 500.0, 0.034, 11.3e6, 0.0077)
+# one valid instance of every value type a scenario holds; each number field is set
+_VALID = [
+    _COSTS,
+    BayesianSetting(0.5, 0.5),
+    EfficiencyParams(0.25, 0.5),
+    _DISTANCING,
+    CostBenefitFunction.linear(10.0, 2.0),
+    MeetingDomain(),
+    GroupMeeting(2.0, 3.0),
+    *(sample_policy(kind) for kind in POLICY_KINDS),
+    DesignerCostModel(1.0, 0.5, 0.25),
+    Scenario(
+        _COSTS, EfficiencyParams(), BayesianSetting(0.5, 0.5), _DISTANCING,
+        CostBenefitFunction.linear(10.0), CostBenefitFunction.constant(500.0), MeetingDomain(),
+        1000, gathering_limit=10,
+    ),
+]
+
+
+def _number_fields():
+    for value in _VALID:
+        for field in value._fields:
+            number = getattr(value, field)
+            if isinstance(number, (int, float)) and not isinstance(number, bool):
+                owner = f"Policy[{value.kind}]" if isinstance(value, Policy) else type(value).__name__
+                yield pytest.param(value, field, id=f"{owner}.{field}")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"])
+@pytest.mark.parametrize("value, field", list(_number_fields()))
+def test_every_number_field_refuses_non_finite_values(value, field, bad):
+    with pytest.raises(FieldError, match=f"^{field} must be a finite number, got ") as info:
+        value.replace(**{field: bad})
+    assert info.value.fields == (field,)
+    assert len(str(info.value)) < 80  # an oversized int is described, not printed
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        pytest.param(lambda: Policy.free_masks(math.nan), "subsidy", id="free_masks"),
+        pytest.param(lambda: Policy.mass_testing(math.inf), "per_test_cost", id="mass_testing"),
+        pytest.param(lambda: DistancingParams(math.nan, 1, 0.1, 1, 0.1), "benefit", id="benefit"),
+        pytest.param(lambda: DistancingParams(1, 1, math.nan, 1, 0.1), "mortality", id="mortality"),
+        pytest.param(lambda: DistancingParams(1, 1, 0.1, math.inf, 0.1), "life_value", id="life_value"),
+        pytest.param(lambda: CostBenefitFunction.linear(math.nan), "slope", id="linear"),
+        pytest.param(lambda: CostBenefitFunction.constant(math.inf), "intercept", id="constant"),
+        pytest.param(lambda: DesignerCostModel(math.nan, 1, 1), "weight_infection", id="designer"),
+        pytest.param(lambda: MaskCosts(1, 10, 100, math.inf), "c_infection", id="mask_costs"),
+    ],
+)
+def test_constructors_refuse_what_scenario_files_refuse(build, field):
+    with pytest.raises(FieldError, match=field) as info:
+        build()
+    assert info.value.fields == (field,)
