@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import sys
+from typing import Callable
 
 from . import oracle
 from .distancing import (
@@ -78,47 +79,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _num(value: float, opts: ReportOptions) -> str:
-    if value == math.inf:
-        return "inf"
-    if opts.fmt == "table":
-        return f"{value:.{opts.precision}f}"
-    return f"{value:.{opts.precision}g}"
+def _formatter(opts: ReportOptions) -> Callable[[object], str]:
+    """The text of one report cell: numbers to ``opts.precision``, inf as 'inf',
+    booleans as 'true'/'false', None empty."""
+    spec = f".{opts.precision}{'f' if opts.fmt == 'table' else 'g'}"
 
+    def text(value: object) -> str:
+        if isinstance(value, float):
+            return "inf" if value == math.inf else format(value, spec)
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return str(value)
 
-def _cell(value: object, opts: ReportOptions) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _num(value, opts)
-    return str(value)
+    return text
 
 
 def _render_kv(pairs: list[tuple[str, object]], opts: ReportOptions) -> str:
     if opts.fmt == "csv":
         return _render_csv([key for key, _ in pairs], [[value for _, value in pairs]], opts)
+    text = _formatter(opts)
     width = max(len(key) for key, _ in pairs) + 2
-    return "".join(
-        f"{key:<{width}}{_cell(value, opts) or '-'}\n" for key, value in pairs
-    )
+    return "".join(f"{key:<{width}}{text(value) or '-'}\n" for key, value in pairs)
 
 
 def _render_csv(header: list[str], rows: list[list[object]], opts: ReportOptions) -> str:
+    text = _formatter(opts)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(value, opts) for value in row])
+    writer.writerows([text(value) for value in row] for row in rows)
     return buffer.getvalue()
 
 
 def _render_table(header: list[str], rows: list[list[object]], opts: ReportOptions) -> str:
-    cells = [header] + [[_cell(v, opts) or "-" for v in row] for row in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in cells]
-    return "\n".join(lines) + "\n"
+    text = _formatter(opts)
+    cells = [header] + [[text(value) or "-" for value in row] for row in rows]
+    # one template pads every column to its widest cell
+    template = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*cells))
+    return "".join(template.format(*row).rstrip() + "\n" for row in cells)
 
 
 def _render_rows(header: list[str], rows: list[list[object]], opts: ReportOptions) -> str:

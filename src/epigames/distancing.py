@@ -214,6 +214,31 @@ def z_objective(
         raise DomainError(f"meeting objective needs a nonzero risk (1 - (1-rho)^z) * m, got 0 at z={z}") from None
 
 
+def objective_values(
+    zs: list[float],
+    benefit_fn: CostBenefitFunction,
+    cost_fn: CostBenefitFunction,
+    rho: float,
+    m: float,
+) -> list[float]:
+    """``z_objective`` at each of ``zs``, which must rise from a positive first point.
+
+    One ``z_objective`` call on ``zs[0]`` checks rho and m, raises the
+    risk-underflow error and states the no-risk rule (rho = 0 or m = 0: all
+    inf).  The rest repeats its float operations in the same order, so each
+    value is bit-identical to a ``z_objective`` call.  The risk rises with
+    z, so no later point can divide by zero where the first did not.
+    """
+    z_objective(zs[0], benefit_fn, cost_fn, rho, m)
+    if rho == 0 or m == 0:
+        return [math.inf] * len(zs)
+    bs, bi, cs, ci = benefit_fn.slope, benefit_fn.intercept, cost_fn.slope, cost_fn.intercept
+    if rho == 1:
+        return [(bs * z + bi + (cs * z + ci)) / (1.0 * m) for z in zs]
+    lr, expm1 = math.log1p(-rho), math.expm1
+    return [(bs * z + bi + (cs * z + ci)) / (-expm1(z * lr) * m) for z in zs]
+
+
 class MeetingOptimum(NamedTuple):
     z_star: float
     value: float
@@ -228,10 +253,15 @@ def optimal_meeting(
 ) -> MeetingOptimum:
     """Maximize the meeting objective by a uniform scan of ``domain.grid()``.
 
-    Ties break toward smaller z (less exposure).  The scan is exact for the
-    constant and linear functions of this module, and the argument covers
-    only those two kinds: the objective is N(z) / D(z) with N = B + C affine
-    and non-negative and D(z) = (1 - (1-rho)^z) * m concave and positive on
+    The values come from ``objective_values``, the kernel ``curve_series``
+    shares, and the first maximum wins: ties break toward smaller z (less
+    exposure).  ``--verify`` still evaluates the grid point by point through
+    ``z_objective``, as the kernel's independent check.
+
+    The scan is exact for the constant and linear functions of this module,
+    and the argument covers only those two kinds: the objective is
+    N(z) / D(z) with N = B + C affine and non-negative and
+    D(z) = (1 - (1-rho)^z) * m concave and positive on
     z > 0.  Each sublevel set {N - t*D <= 0} is empty (t < 0) or the
     sublevel set of a convex function (t >= 0), hence convex, so the
     objective is quasi-convex (Boyd & Vandenberghe, Convex Optimization,
@@ -240,12 +270,9 @@ def optimal_meeting(
     With no risk (rho = 0 or m = 0) every sample is inf and z_min wins the tie.
     """
     points = domain.grid()
-    best_z, best_f = points[0], z_objective(points[0], benefit_fn, cost_fn, rho, m)
-    for z in points[1:]:
-        f = z_objective(z, benefit_fn, cost_fn, rho, m)
-        if f > best_f:
-            best_z, best_f = z, f
-    return MeetingOptimum(best_z, best_f)
+    values = objective_values(points, benefit_fn, cost_fn, rho, m)
+    best = max(values)  # max keeps the first of equal values, as a strict > scan does
+    return MeetingOptimum(points[values.index(best)], best)
 
 
 class GoDecision(NamedTuple):
@@ -275,7 +302,9 @@ def curve_series(
     m: float,
     domain: MeetingDomain,
 ) -> list[tuple[float, float]]:
-    """grid_steps + 1 samples of the meeting objective, for plotting."""
-    return [
-        (z, z_objective(z, benefit_fn, cost_fn, rho, m)) for z in domain.grid()
-    ]
+    """grid_steps + 1 samples of the meeting objective, for plotting.
+
+    The values come from ``objective_values``, the kernel the optimum scan uses.
+    """
+    points = domain.grid()
+    return list(zip(points, objective_values(points, benefit_fn, cost_fn, rho, m)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import sys
 from pathlib import Path
 from typing import Callable
 
@@ -61,18 +62,31 @@ MAX_SCENARIO_BYTES = 1 << 20
 
 # The readers turn a key's text into its value and raise ValueError when they
 # cannot; the value types then check every range rule but the two below.
+# An error line repeats at most the first _ECHO_CHARS characters of a key's text.
+_ECHO_CHARS = 40
+
+
+def _echo(raw: str) -> str:
+    if len(raw) <= _ECHO_CHARS:
+        return repr(raw)
+    return f"{raw[:_ECHO_CHARS]!r}... ({len(raw)} characters)"
+
+
 def _number(raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ValueError(f"expected a number, got {raw!r}") from None
+        raise ValueError(f"expected a number, got {_echo(raw)}") from None
 
 
 def _integer(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"expected an integer, got {raw!r}") from None
+        # from 3.10.7 on, int() refuses a text of more digits than a limit, 4,300 by default
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        size = f" of at most {limit} digits" if limit and len(raw) > limit else ""
+        raise ValueError(f"expected an integer{size}, got {_echo(raw)}") from None
 
 
 def _price(raw: str) -> float:
@@ -80,7 +94,7 @@ def _price(raw: str) -> float:
     # but a scenario file gives market prices
     value = _number(raw)
     if value <= 0:
-        raise ValueError(f"must be > 0, got {raw}")
+        raise ValueError(f"must be > 0, got {_echo(raw)}")
     return value
 
 
@@ -88,7 +102,7 @@ def _population(raw: str) -> int:
     # no value type holds the population until to_scenario builds a Scenario
     value = _integer(raw)
     if value < 2:
-        raise ValueError(f"must be >= 2, got {raw}")
+        raise ValueError(f"must be >= 2, got {_echo(raw)}")
     return value
 
 

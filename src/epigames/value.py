@@ -31,7 +31,21 @@ class Value:
         cls._field_defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        fields, name = self._fields, type(self).__name__
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # every field by position needs no merging
+            args = self._merge(args, kwargs)
+        for field, value in zip(fields, args):
+            # one comparison refuses nan, the infinities and ints beyond every float
+            if isinstance(value, (int, float)) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                shown = repr(value) if isinstance(value, float) else "an int too large for a float"
+                raise FieldError(f"{field} must be a finite number, got {shown}", field)
+            object.__setattr__(self, field, value)  # keeps attribute reads on CPython's fast path
+        self.__post_init__()
+
+    @classmethod
+    def _merge(cls, args: tuple[object, ...], kwargs: dict[str, object]) -> tuple[object, ...]:
+        """Every field's value, in order, from positions, keywords and defaults."""
+        fields, name = cls._fields, cls.__name__
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)} positionally")
         given = dict(zip(fields, args))
@@ -39,18 +53,11 @@ class Value:
             if field not in fields or field in given:
                 problem = "a repeated" if field in given else "an unknown"
                 raise TypeError(f"{name}() got {problem} field {field!r}")
-        values = {**self._field_defaults, **given, **kwargs}
+        values = {**cls._field_defaults, **given, **kwargs}
         missing = [field for field in fields if field not in values]
         if missing:
             raise TypeError(f"{name}() is missing fields {', '.join(missing)}")
-        for field in fields:
-            value = values[field]
-            # one comparison refuses nan, the infinities and ints beyond every float
-            if isinstance(value, (int, float)) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-                shown = repr(value) if isinstance(value, float) else "an int too large for a float"
-                raise FieldError(f"{field} must be a finite number, got {shown}", field)
-            object.__setattr__(self, field, value)  # keeps attribute reads on CPython's fast path
-        self.__post_init__()
+        return tuple(values[field] for field in fields)
 
     def __post_init__(self) -> None:
         """Check the fields' rules; a subclass overrides it and raises on a breach."""

@@ -311,6 +311,30 @@ def test_int_beyond_every_float_exits_one_naming_the_key(
     _assert_one_line_scenario_error(*result, named)
 
 
+# int() refuses a text of more digits than this from Python 3.10.7 on (0: no limit)
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        pytest.param("population", "n", "1" + "0" * 5000, ("[population].n",), id="n"),
+        pytest.param("meeting", "grid_steps", "1" + "0" * 5000, ("[meeting].grid_steps",), id="grid_steps"),
+        pytest.param("distancing", "B", "1." + "0x" * 2499, ("[distancing].B", "5000 characters"), id="float"),
+        pytest.param("population", "n", "-" + "1" * 4000, ("[population].n", ">= 2", "4001 characters"), id="n-below-2"),
+        pytest.param("mask", "c_out", "-" + "0" * 5000, ("[mask].c_out", "> 0", "5001 characters"), id="price"),
+    ],
+)
+def test_long_number_text_exits_one_with_a_short_line(tmp_path, capsys, section, key, value, named):
+    result = _run_with(tmp_path, capsys, section, key, value)
+    _assert_one_line_scenario_error(*result, named)
+    err = result[2]
+    assert len(err) < 200
+    if INT_DIGIT_LIMIT and value.isdecimal():  # int() refused the text for its length
+        assert f"expected an integer of at most {INT_DIGIT_LIMIT} digits" in err
+        assert "5001 characters" in err
+
+
 @pytest.mark.parametrize(
     "content, named",
     [
@@ -324,6 +348,25 @@ def test_unreadable_file_exits_one_naming_file_and_line(tmp_path, capsys, conten
     path.write_bytes(content)
     result = run_cli(capsys, "mask-basic", "--scenario", str(path))
     _assert_one_line_scenario_error(*result, (str(path), *named))
+
+
+def test_renderers_spell_every_kind_of_cell():
+    # the golden digests hold no bool or -inf cell, so this pins them
+    header = ["none", "yes", "no", "int", "text", "empty", "inf", "neg", "half"]
+    row = [None, True, False, 3, "x", "", float("inf"), float("-inf"), 0.5]
+    rows = [row, row[::-1]]
+    table = cli._render_table(header, rows, cli.ReportOptions(fmt="table", precision=3))
+    assert table == (
+        "none   yes   no     int  text  empty  inf    neg   half\n"
+        "-      true  false  3    x     -      inf    -inf  0.500\n"
+        "0.500  -inf  inf    -    x     3      false  true  -\n"
+    )
+    text = cli._render_csv(header, rows, cli.ReportOptions(fmt="csv", precision=3))
+    assert text == (
+        "none,yes,no,int,text,empty,inf,neg,half\n"
+        ",true,false,3,x,,inf,-inf,0.5\n"
+        "0.5,-inf,inf,,x,3,false,true,\n"
+    )
 
 
 def test_cli_import_loads_no_dataclasses_or_introspection():

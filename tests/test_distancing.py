@@ -5,7 +5,7 @@ import sys
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from epigames import (
     CostBenefitFunction,
@@ -18,6 +18,7 @@ from epigames import (
     distancing_utility,
     extended_go_decision,
     group_infection_probability,
+    objective_values,
     optimal_meeting,
     oracle,
     stay_home_decision,
@@ -203,6 +204,82 @@ class TestZObjective:
         assert z_objective(1.0, benefit, cost, rho, m) == math.inf
         optimum = optimal_meeting(benefit, cost, rho, m, MeetingDomain(0.5, 10.0, 20))
         assert optimum == (0.5, math.inf)  # every sample ties, so z_min wins
+
+
+def _coefficient():
+    return st.just(0.0) | st.floats(0, 1e6) | st.floats(0, sys.float_info.max)
+
+
+# mostly linear functions of two plain coefficients, where the order of the additions shows
+_FUNCTIONS = (
+    st.builds(CostBenefitFunction.linear, st.floats(0, 1e6), st.floats(0, 1e6))
+    | st.builds(CostBenefitFunction.linear, _coefficient(), _coefficient())
+    | st.builds(CostBenefitFunction.constant, _coefficient())
+)
+# rho of 0, 1 and a subnormal, or log-uniform over (1e-300, 1]; m of 0, tiny or in (0, 1]
+_RHOS = st.sampled_from([0.0, 1.0, 5e-324]) | st.floats(-300, 0).map(lambda e: 10.0**e)
+_MORTALITIES = st.sampled_from([0.0, 1e-320]) | st.floats(0, 1, exclude_min=True)
+
+
+@st.composite
+def _domains(draw):
+    z_min = draw(st.floats(1e-3, 99.9))
+    z_max = draw(st.floats(z_min, 100).filter(lambda z: z > z_min))
+    return MeetingDomain(z_min, z_max, draw(st.integers(1, 3000)))
+
+
+def _point_by_point(zs, benefit, cost, rho, m):
+    """The objective at each z through z_objective, or the DomainError text it raises."""
+    try:
+        return [z_objective(z, benefit, cost, rho, m) for z in zs]
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestObjectiveValues:
+    """The scan's kernel repeats z_objective's float operations: bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_FUNCTIONS, _FUNCTIONS, _RHOS, _MORTALITIES, _domains())
+    def test_equals_z_objective_bit_for_bit(self, benefit, cost, rho, m, domain):
+        zs = domain.grid()
+        expected = _point_by_point(zs, benefit, cost, rho, m)
+        try:
+            values = objective_values(zs, benefit, cost, rho, m)
+        except DomainError as exc:
+            assert str(exc) == expected
+            return
+        assert isinstance(expected, list)
+        assert [v.hex() for v in values] == [v.hex() for v in expected]  # inf.hex() is 'inf'
+
+    @settings(max_examples=300, deadline=None)
+    @given(_FUNCTIONS, _FUNCTIONS, _RHOS, _MORTALITIES, _domains())
+    def test_optimum_is_the_first_maximum_of_a_strict_scan(self, benefit, cost, rho, m, domain):
+        zs = domain.grid()
+        expected = _point_by_point(zs, benefit, cost, rho, m)
+        assume(isinstance(expected, list))
+        best_z, best_f = zs[0], expected[0]
+        for z, f in zip(zs, expected):
+            if f > best_f:
+                best_z, best_f = z, f
+        optimum = optimal_meeting(benefit, cost, rho, m, domain)
+        assert optimum.z_star == best_z and optimum.value.hex() == best_f.hex()
+        series = curve_series(benefit, cost, rho, m, domain)
+        assert [(z, v.hex()) for z, v in series] == [(z, f.hex()) for z, f in zip(zs, expected)]
+
+    @pytest.mark.parametrize(
+        "rho, m, rule",
+        [(0.0077, 1e-321, "nonzero risk"), (1.5, 0.034, "infection probability"), (0.5, -0.5, "mortality")],
+        ids=["underflow", "rho", "m"],
+    )
+    def test_raises_what_z_objective_raises(self, rho, m, rule):
+        domain = MeetingDomain(0.1, 100, 50)
+        expected = _point_by_point(domain.grid(), ONE, ONE, rho, m)
+        assert rule in expected
+        for compute in (optimal_meeting, curve_series):
+            with pytest.raises(DomainError) as info:
+                compute(ONE, ONE, rho, m, domain)
+            assert str(info.value) == expected
 
 
 class TestOptimalMeeting:

@@ -82,6 +82,7 @@ def test_fields_cannot_be_assigned_or_deleted():
         pytest.param((), {}, "missing fields low", id="missing"),
         pytest.param((0.5,), {"width": 1.0}, "unknown field 'width'", id="unknown"),
         pytest.param((0.5,), {"low": 0.5}, "repeated field 'low'", id="repeated"),
+        pytest.param((0.5, 1.0), {"low": 0.5}, "repeated field 'low'", id="all-and-repeated"),
         pytest.param((0.5, 1.0, 2.0), {}, "takes 2 fields, got 3", id="too-many"),
     ],
 )
@@ -137,6 +138,10 @@ def test_every_number_field_refuses_non_finite_values(value, field, bad):
         value.replace(**{field: bad})
     assert info.value.fields == (field,)
     assert len(str(info.value)) < 80  # an oversized int is described, not printed
+    # replace passes keywords; every field by position takes the constructor's other path
+    with pytest.raises(FieldError) as by_position:
+        type(value)(*(bad if name == field else getattr(value, name) for name in value._fields))
+    assert (str(by_position.value), by_position.value.fields) == (str(info.value), (field,))
 
 
 @pytest.mark.parametrize(
