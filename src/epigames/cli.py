@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import sys
+from fractions import Fraction
 from typing import Callable
 
 from . import oracle
@@ -28,7 +29,7 @@ from .distancing import (
     z_objective,
 )
 from .errors import DomainError, FieldError, ScenarioError, VerificationError
-from .games import DEFAULT_TOL, pure_nash_equilibria, restrict, solve
+from .games import pure_nash_equilibria, restrict, solve
 from .masks import (
     HealthStatus,
     bayesian_expected_cost,
@@ -137,6 +138,11 @@ def _fail_verify(mismatches: list[str]) -> None:
         raise VerificationError("; ".join(mismatches))
 
 
+def _exact(value: Value) -> Value:
+    """A copy of ``value`` with each number field the ``Fraction`` it denotes."""
+    return value.replace(**{field: Fraction(getattr(value, field)) for field in value._fields})
+
+
 def _cmd_mask_basic(config: ScenarioConfig, opts: ReportOptions) -> str:
     costs = config.require("mask_costs")
     games = [(name, pair_game(s1, s2, costs)) for name, s1, s2 in _STATUS_PAIRS]
@@ -149,7 +155,7 @@ def _cmd_mask_basic(config: ScenarioConfig, opts: ReportOptions) -> str:
                 mismatches.append(f"{name}: equilibrium sets disagree with enumeration")
             sums = [sum(game.pair(*p)) for p in game.profiles()]
             floor = min(sums)
-            exhaustive = [p for k, p in enumerate(game.profiles()) if sums[k] <= floor + DEFAULT_TOL]
+            exhaustive = [p for k, p in enumerate(game.profiles()) if sums[k] == floor]
             if exhaustive != list(report.social_optima):
                 mismatches.append(f"{name}: social optima disagree with exhaustive scan")
         _fail_verify(mismatches)
@@ -159,11 +165,11 @@ def _cmd_mask_basic(config: ScenarioConfig, opts: ReportOptions) -> str:
         for profile in report.pure_nash:
             lab1, lab2 = game.profile_labels(profile)
             c1, c2 = game.pair(*profile)
-            rows.append([name, "nash_equilibrium", None, lab1, lab2, c1, c2])
+            rows.append([name, "nash_equilibrium", None, lab1, lab2, float(c1), float(c2)])
         for profile in report.social_optima:
             lab1, lab2 = game.profile_labels(profile)
             c1, c2 = game.pair(*profile)
-            rows.append([name, "social_optimum", None, lab1, lab2, c1, c2])
+            rows.append([name, "social_optimum", None, lab1, lab2, float(c1), float(c2)])
         for idx in report.dominant_p1:
             rows.append([name, "dominant_action", 1, game.actions_p1.labels[idx], None, None, None])
         for idx in report.dominant_p2:
@@ -191,15 +197,19 @@ def _cmd_mask_bayesian(config: ScenarioConfig, opts: ReportOptions) -> str:
     best = bayesian_best_p2(setting, costs)
     cost_no = bayesian_expected_cost(setting, 0.0, costs)
     cost_use = bayesian_expected_cost(setting, 1.0, costs)
+    for name, value in (("expected_cost_no", cost_no), ("expected_cost_use", cost_use)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} is {value}: the scenario's magnitudes leave a float's range")
 
     if opts.verify:
         mismatches = []
-        tol = 1e-9 * max(1.0, cost_no, cost_use)  # rounding grows with the costs
+        exact_setting, exact_costs = _exact(setting), _exact(costs)
         if not oracle.check_affine(
-            lambda p2: bayesian_expected_cost(setting, p2, costs), 0.0, 0.37, 1.0, tol
+            lambda p2: bayesian_expected_cost(exact_setting, p2, exact_costs), 0, Fraction(37, 100), 1, 0
         ):
             mismatches.append("expected cost is not affine in the wearing probability")
-        if abs(cost_use - cost_no) > tol and (best == 1.0) != (cost_use < cost_no):
+        exact_no, exact_use = (bayesian_expected_cost(exact_setting, p2, exact_costs) for p2 in (0, 1))
+        if (best == 1.0) != (exact_use < exact_no):
             mismatches.append("boundary decision disagrees with endpoint costs")
         _fail_verify(mismatches)
 
@@ -270,13 +280,9 @@ def _cmd_distancing(config: ScenarioConfig, opts: ReportOptions) -> str:
     utility_go = distancing_utility(1.0, params)
 
     if opts.verify:
-        mismatches = []
-        tol = 1e-9 * max(1.0, params.benefit + params.home_cost)  # the stakes at a tie
-        if abs(utility_go - utility_stay) > tol and (
-            outcome.decision is Decision.GO
-        ) != (utility_go > utility_stay):
-            mismatches.append("threshold decision disagrees with utility comparison")
-        _fail_verify(mismatches)
+        exact = _exact(params)  # a tie goes out, as the threshold rule's strict < does
+        if (outcome.decision is Decision.STAY) != (distancing_utility(0, exact) > distancing_utility(1, exact)):
+            _fail_verify(["threshold decision disagrees with utility comparison"])
 
     return _render_kv(
         [

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, FieldError
+from .errors import DomainError, FieldError, echo
 from .value import Value
 
 
@@ -74,11 +75,11 @@ class CostBenefitFunction(Value):
         kind, _, args = (part.strip() for part in text.partition(":"))
         arity = {"constant": 1, "linear": 2}.get(kind)
         if arity is None:
-            raise ValueError(f"expected 'constant:k' or 'linear:slope,intercept', got {text!r}")
+            raise ValueError(f"expected 'constant:k' or 'linear:slope,intercept', got {echo(text)}")
         try:
             numbers = [float(part) for part in args.split(",")]
         except ValueError:
-            raise ValueError(f"malformed coefficients in {text!r}") from None
+            raise ValueError(f"malformed coefficients in {echo(text)}") from None
         if len(numbers) != arity:
             count = "one coefficient" if arity == 1 else "two coefficients"
             raise ValueError(f"{kind} takes exactly {count}")
@@ -160,14 +161,16 @@ class StayHomeDecision(NamedTuple):
 def stay_home_decision(params: DistancingParams) -> StayHomeDecision:
     """Stay home iff (benefit + home_cost) / (rho * mortality) < life_value.
 
-    With no infection risk (rho * mortality = 0) going out always wins and
-    the threshold is reported as unbounded.
+    Decided on the ``Fraction``s the inputs denote.  With no infection risk going
+    out always wins; the threshold is unbounded where rho * mortality rounds to 0.
     """
-    exposure = params.infection_prob * params.mortality
+    exposure = Fraction(params.infection_prob) * Fraction(params.mortality)
     if exposure == 0:
         return StayHomeDecision(Decision.GO, math.inf)
-    threshold = (params.benefit + params.home_cost) / exposure
-    decision = Decision.STAY if threshold < params.life_value else Decision.GO
+    stakes = Fraction(params.benefit) + Fraction(params.home_cost)
+    decision = Decision.STAY if stakes < Fraction(params.life_value) * exposure else Decision.GO
+    rounded = params.infection_prob * params.mortality
+    threshold = (params.benefit + params.home_cost) / rounded if rounded else math.inf
     return StayHomeDecision(decision, threshold)
 
 

@@ -1,4 +1,14 @@
-"""Shared exception types for the toolkit."""
+"""Shared exception types for the toolkit, and the quoting of input in their messages."""
+
+_ECHO_CHARS = 40  # the most characters of an input's text that an error line repeats
+
+
+def echo(raw: str) -> str:
+    """``raw`` quoted for a one-line error message; a longer text than 40
+    characters is cut to its first 40, followed by its length."""
+    if len(raw) <= _ECHO_CHARS:
+        return repr(raw)
+    return f"{raw[:_ECHO_CHARS]!r}... ({len(raw)} characters)"
 
 
 class DomainError(ValueError):

@@ -1,19 +1,19 @@
 """Two-player normal-form games recorded as per-profile cost pairs.
 
 Entries are costs and are minimized: a profile is better for a player when
-her coordinate is smaller.  All solvers return every tied solution (within
-the absolute tolerance ``DEFAULT_TOL``) and enumerate profiles in row-major
-order, so output is deterministic and reproducible.
+her coordinate is smaller.  A table holds each entry as the ``Fraction`` it
+denotes, so the solvers compare costs exactly, return every tied solution and
+enumerate profiles in row-major order: output is deterministic and reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .value import Value
-
-DEFAULT_TOL = 1e-9
 
 
 class StrategyProfile(NamedTuple):
@@ -51,12 +51,12 @@ class CostTable(Value):
 
     ``costs[i][j]`` is the pair ``(cost_p1, cost_p2)`` for player 1 playing
     her ``i``-th action against player 2's ``j``-th action.  Every entry must
-    be a finite, non-negative real.
+    be a finite, non-negative real, and is kept as the ``Fraction`` it denotes.
     """
 
     actions_p1: ActionSet
     actions_p2: ActionSet
-    costs: tuple[tuple[tuple[float, float], ...], ...]
+    costs: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
 
     def __post_init__(self) -> None:
         n1, n2 = len(self.actions_p1), len(self.actions_p2)
@@ -68,14 +68,12 @@ class CostTable(Value):
                 raise ValueError(f"row {i} has {len(row)} entries, expected {n2}")
             cells = []
             for j, cell in enumerate(row):
-                c1, c2 = float(cell[0]), float(cell[1])
-                for c in (c1, c2):
-                    if not math.isfinite(c) or c < 0:
-                        raise ValueError(
-                            f"cost entry at profile ({i}, {j}) must be finite and"
-                            f" non-negative, got {cell!r}"
-                        )
-                cells.append((c1, c2))
+                if not all(0 <= c < math.inf for c in cell):  # nan fails every comparison
+                    raise ValueError(
+                        f"cost entry at profile ({i}, {j}) must be finite and"
+                        f" non-negative, got {cell!r}"
+                    )
+                cells.append((Fraction(cell[0]), Fraction(cell[1])))
             rows.append(tuple(cells))
         object.__setattr__(self, "costs", tuple(rows))
 
@@ -87,11 +85,11 @@ class CostTable(Value):
     def n2(self) -> int:
         return len(self.actions_p2)
 
-    def pair(self, i: int, j: int) -> tuple[float, float]:
+    def pair(self, i: int, j: int) -> tuple[Fraction, Fraction]:
         """Cost pair at profile (i, j)."""
         return self.costs[i][j]
 
-    def cost(self, player: int, i: int, j: int) -> float:
+    def cost(self, player: int, i: int, j: int) -> Fraction:
         """Cost of the given player at profile (i, j)."""
         _check_player(player)
         return self.costs[i][j][player - 1]
@@ -126,7 +124,7 @@ def _check_player(player: int) -> None:
 def best_responses(game: CostTable, player: int, opponent_action: int) -> list[int]:
     """Actions minimizing the player's cost against a fixed opponent action.
 
-    All actions within ``DEFAULT_TOL`` of the minimum are returned, in index order.
+    All actions at the minimum are returned, in index order.
     """
     _check_player(player)
     n_own = game.n1 if player == 1 else game.n2
@@ -138,7 +136,7 @@ def best_responses(game: CostTable, player: int, opponent_action: int) -> list[i
     else:
         own = [game.cost(2, opponent_action, a) for a in range(n_own)]
     floor = min(own)
-    return [a for a, c in enumerate(own) if c <= floor + DEFAULT_TOL]
+    return [a for a, c in enumerate(own) if c == floor]
 
 
 def is_pure_nash(game: CostTable, profile: StrategyProfile) -> bool:
@@ -150,50 +148,38 @@ def is_pure_nash(game: CostTable, profile: StrategyProfile) -> bool:
 
 
 def pure_nash_equilibria(game: CostTable) -> list[StrategyProfile]:
-    """All profiles where no unilateral deviation lowers own cost by more than DEFAULT_TOL."""
+    """All profiles where no unilateral deviation lowers own cost."""
     br1 = [set(best_responses(game, 1, j)) for j in range(game.n2)]
     br2 = [set(best_responses(game, 2, i)) for i in range(game.n1)]
     return [p for p in game.profiles() if p.action_p1 in br1[p.action_p2] and p.action_p2 in br2[p.action_p1]]
 
 
 def social_optima(game: CostTable) -> list[StrategyProfile]:
-    """All profiles whose total cost is within DEFAULT_TOL of the global minimum."""
+    """All profiles whose total cost is the global minimum."""
     sums = {p: sum(game.pair(*p)) for p in game.profiles()}
     floor = min(sums.values())
-    return [p for p in game.profiles() if sums[p] <= floor + DEFAULT_TOL]
+    return [p for p in game.profiles() if sums[p] == floor]
 
 
 def dominant_actions(game: CostTable, player: int, weak: bool = True) -> list[int]:
     """Actions that minimize the player's cost against every opponent action.
 
-    Weak dominance allows ties (within DEFAULT_TOL); strict dominance requires
-    the action to beat every alternative by more than DEFAULT_TOL in every column.
+    Weak dominance allows ties; strict dominance requires the action to beat
+    every alternative in every column.
     """
     _check_player(player)
     n_own = game.n1 if player == 1 else game.n2
     n_opp = game.n2 if player == 1 else game.n1
 
-    def own_cost(a: int, o: int) -> float:
+    def own_cost(a: int, o: int) -> Fraction:
         return game.cost(1, a, o) if player == 1 else game.cost(2, o, a)
 
-    result = []
-    for a in range(n_own):
-        if weak:
-            ok = all(
-                own_cost(a, o) <= own_cost(b, o) + DEFAULT_TOL
-                for o in range(n_opp)
-                for b in range(n_own)
-            )
-        else:
-            ok = all(
-                own_cost(a, o) < own_cost(b, o) - DEFAULT_TOL
-                for o in range(n_opp)
-                for b in range(n_own)
-                if b != a
-            )
-        if ok:
-            result.append(a)
-    return result
+    beats = operator.le if weak else operator.lt
+    return [
+        a
+        for a in range(n_own)
+        if all(beats(own_cost(a, o), own_cost(b, o)) for o in range(n_opp) for b in range(n_own) if b != a)
+    ]
 
 
 def restrict(

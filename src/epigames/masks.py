@@ -4,12 +4,16 @@ Covers the full-information pair games over the actions (no, out, in), the
 Bayesian analysis under unknown health status (merged action ``use``), the
 mask-efficiency analysis with imperfect protection, and the many-player
 assignment rule with its social-optimality condition.
+The pair games, the Bayesian rule and the efficiency analysis decide on the
+``Fraction``s their float inputs denote; the numbers a report prints stay floats.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, FieldError
@@ -112,13 +116,18 @@ def pair_game(status1: HealthStatus, status2: HealthStatus, costs: MaskCosts) ->
     an infected one also bears the infection cost unless their own mask
     protects its wearer or the infected player's mask protects others
     (``MASK_ACTIONS``).  Infected players always carry their infection cost.
+    Each cost is an exact sum; one that leaves a float's range, which a report
+    could not print, raises DomainError naming it.
     """
-    ci = costs.c_infection
+    ci = Fraction(costs.c_infection)
     actions = [MASK_ACTIONS[label] for label in PAIR_ACTIONS]
 
-    def cost(own: MaskAction, other: MaskAction, infected: bool, other_infected: bool) -> float:
+    def cost(own: MaskAction, other: MaskAction, infected: bool, other_infected: bool) -> Fraction:
         exposed = other_infected and not (own.protects_wearer or other.protects_other)
-        return own.price(costs) + (ci if infected or exposed else 0.0)
+        total = Fraction(own.price(costs)) + (ci if infected or exposed else 0)
+        if total > sys.float_info.max:  # only a priced action can push c_infection past it
+            raise DomainError(f"the cost {own.price_field} + c_infection leaves a float's range")
+        return total
 
     inf1, inf2 = (status is HealthStatus.INFECTED for status in (status1, status2))
     rows = tuple(
@@ -149,8 +158,9 @@ class MaskCondition(NamedTuple):
 
 def bayesian_mask_condition(setting: BayesianSetting, costs: MaskCosts) -> MaskCondition:
     """Wearing lowers the expected cost iff c_use/c_infection < rho(1-rho)(1-p1)."""
-    threshold = setting.rho * (1 - setting.rho) * (1 - setting.p1)
-    return MaskCondition(threshold, costs.c_use / costs.c_infection < threshold)
+    rho, p1 = Fraction(setting.rho), Fraction(setting.p1)
+    wear = Fraction(costs.c_use) < rho * (1 - rho) * (1 - p1) * Fraction(costs.c_infection)
+    return MaskCondition(setting.rho * (1 - setting.rho) * (1 - setting.p1), wear)
 
 
 def bayesian_best_p2(setting: BayesianSetting, costs: MaskCosts) -> float:
@@ -202,21 +212,23 @@ def efficiency_analysis(eff: EfficiencyParams, costs: MaskCosts) -> EfficiencyAn
     a, b = eff.a, eff.b
     cu, ci = costs.c_use, costs.c_infection
     curvature = 2 * ci * (1 - a) * (1 - b)
-    threshold = 1 - a * b
-    beats = cu / ci < threshold
     degenerate = a == 1.0 or b == 1.0
     if not math.isfinite(curvature) or curvature == 0 and not degenerate:
         raise DomainError(
             f"second_derivative is {curvature}: the scenario's magnitudes leave a float's range"
         )
+    fa, fb, fu, fi = Fraction(a), Fraction(b), Fraction(cu), Fraction(ci)
+    beats = fu < (1 - fa * fb) * fi
+    pull = fi * (2 - fa - fb) - fu  # minus the cost's slope at p = 0
     if degenerate:
-        slope = cu + ci * (a + b) - 2 * ci
         stationary = None
-        best = 1.0 if slope < 0 else 0.0
+        best = 1.0 if pull > 0 else 0.0
     else:
         stationary = (2 * ci - ci * (a + b) - cu) / curvature
-        best = min(1.0, max(0.0, stationary))  # convex, so clamping is exact
-    return EfficiencyAnalysis(stationary, curvature, threshold, beats, best, degenerate)
+        # convex, so clamping is exact; the unrounded stationary point picks the side
+        exact = pull / (2 * fi * (1 - fa) * (1 - fb))
+        best = 0.0 if exact <= 0 else 1.0 if exact >= 1 else min(1.0, max(0.0, stationary))
+    return EfficiencyAnalysis(stationary, curvature, 1 - a * b, beats, best, degenerate)
 
 
 class MultiplayerEquilibrium(NamedTuple):

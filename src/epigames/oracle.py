@@ -10,7 +10,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
-from .games import DEFAULT_TOL, CostTable, StrategyProfile
+from .games import CostTable, StrategyProfile
 
 
 def enumerate_pure_ne(game: CostTable) -> list[StrategyProfile]:
@@ -25,12 +25,12 @@ def enumerate_pure_ne(game: CostTable) -> list[StrategyProfile]:
             c1, c2 = game.costs[i][j]
             stable = True
             for k in range(game.n1):
-                if c1 - game.costs[k][j][0] > DEFAULT_TOL:
+                if game.costs[k][j][0] < c1:
                     stable = False
                     break
             if stable:
                 for k in range(game.n2):
-                    if c2 - game.costs[i][k][1] > DEFAULT_TOL:
+                    if game.costs[i][k][1] < c2:
                         stable = False
                         break
             if stable:
@@ -67,9 +67,9 @@ def grid_argmin(fn: Callable[[float], float], lo: float, hi: float, steps: int) 
 
 
 def check_affine(
-    fn: Callable[[float], float], x1: float, x2: float, x3: float, tol: float = DEFAULT_TOL
+    fn: Callable[[float], float], x1: float, x2: float, x3: float, tol: float
 ) -> bool:
-    """True iff the three sampled points are collinear within ``tol``."""
+    """True iff the three sampled points are collinear within ``tol`` (exactly, on Fractions at 0)."""
     if len({x1, x2, x3}) != 3:
         raise ValueError(f"sample points must be distinct, got {(x1, x2, x3)!r}")
     f1, f2, f3 = fn(x1), fn(x2), fn(x3)

@@ -32,7 +32,7 @@ from .distancing import (
     extended_go_decision,
     group_infection_probability,
 )
-from .errors import DomainError, FieldError
+from .errors import DomainError, FieldError, echo
 from .masks import (
     ACTION_IN,
     ACTION_NO,
@@ -68,12 +68,12 @@ POLICY_KINDS = tuple(POLICY_PARAMS)
 def _check_params(kind: str, given: Collection[str]) -> None:
     """Raise ValueError unless ``kind`` is a policy kind and ``given`` is exactly its parameters."""
     if kind not in POLICY_PARAMS:
-        raise ValueError(f"unknown policy kind {kind!r}; have {', '.join(POLICY_KINDS)}")
+        raise ValueError(f"unknown policy kind {echo(kind)}; have {', '.join(POLICY_KINDS)}")
     wanted = POLICY_PARAMS[kind]
     stray = [name for name in given if name not in wanted]
     missing = [name for name in wanted if name not in given]
     if stray or missing:
-        problem = f"does not take {stray[0]!r}" if stray else f"missing {', '.join(missing)}"
+        problem = f"does not take {echo(stray[0])}" if stray else f"missing {', '.join(missing)}"
         takes = ", ".join(wanted) or "no parameters"
         raise ValueError(f"policy {kind} requires {takes}; {problem}")
 
@@ -119,7 +119,7 @@ class Policy(Value):
             try:
                 params[name] = int(raw) if name == "limit" else float(raw)
             except ValueError:
-                raise ValueError(f"expected a number for {name}, got {raw!r}") from None
+                raise ValueError(f"expected a number for {name}, got {echo(raw)}") from None
         return cls(kind, **params)
 
     @classmethod

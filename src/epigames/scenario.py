@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from .distancing import CostBenefitFunction, DistancingParams, MeetingDomain
-from .errors import FieldError, ScenarioError
+from .errors import FieldError, ScenarioError, echo
 from .masks import BayesianSetting, EfficiencyParams, MaskCosts
 from .policy import DesignerCostModel, Policy, Scenario
 from .value import Value
@@ -62,21 +62,11 @@ MAX_SCENARIO_BYTES = 1 << 20
 
 # The readers turn a key's text into its value and raise ValueError when they
 # cannot; the value types then check every range rule but the two below.
-# An error line repeats at most the first _ECHO_CHARS characters of a key's text.
-_ECHO_CHARS = 40
-
-
-def _echo(raw: str) -> str:
-    if len(raw) <= _ECHO_CHARS:
-        return repr(raw)
-    return f"{raw[:_ECHO_CHARS]!r}... ({len(raw)} characters)"
-
-
 def _number(raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ValueError(f"expected a number, got {_echo(raw)}") from None
+        raise ValueError(f"expected a number, got {echo(raw)}") from None
 
 
 def _integer(raw: str) -> int:
@@ -86,7 +76,7 @@ def _integer(raw: str) -> int:
         # from 3.10.7 on, int() refuses a text of more digits than a limit, 4,300 by default
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         size = f" of at most {limit} digits" if limit and len(raw) > limit else ""
-        raise ValueError(f"expected an integer{size}, got {_echo(raw)}") from None
+        raise ValueError(f"expected an integer{size}, got {echo(raw)}") from None
 
 
 def _price(raw: str) -> float:
@@ -94,7 +84,7 @@ def _price(raw: str) -> float:
     # but a scenario file gives market prices
     value = _number(raw)
     if value <= 0:
-        raise ValueError(f"must be > 0, got {_echo(raw)}")
+        raise ValueError(f"must be > 0, got {echo(raw)}")
     return value
 
 
@@ -102,7 +92,7 @@ def _population(raw: str) -> int:
     # no value type holds the population until to_scenario builds a Scenario
     value = _integer(raw)
     if value < 2:
-        raise ValueError(f"must be >= 2, got {_echo(raw)}")
+        raise ValueError(f"must be >= 2, got {echo(raw)}")
     return value
 
 
@@ -225,13 +215,13 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     except configparser.MissingSectionHeaderError as exc:  # a ParsingError, so caught first
         raise ScenarioError(
             f"malformed scenario file {path}: line {exc.lineno}: expected a [section] header,"
-            f" got {exc.line.strip()!r}"
+            f" got {echo(exc.line.strip())}"
         ) from None
     except configparser.ParsingError as exc:
         lineno = exc.errors[0][0]
         raise ScenarioError(
             f"malformed scenario file {path}: line {lineno}: expected 'key = value',"
-            f" got {lines[lineno - 1].strip()!r}"
+            f" got {echo(lines[lineno - 1].strip())}"
         ) from None
     except configparser.Error as exc:  # duplicates, whose one-line message names the line
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from None
@@ -239,7 +229,7 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ScenarioError(
-                f"unknown section [{section}]; have {', '.join(sorted(_SECTIONS))}"
+                f"unknown section {echo(section)}; have {', '.join(sorted(_SECTIONS))}"
             )
     values: dict[str, object] = {}
     for section, keys in _SECTIONS.items():
@@ -253,7 +243,7 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         given: dict[str, dict[str | None, object]] = {field: {} for field, _, _ in keys.values()}
         for key, raw in parser.items(section):
             if key not in keys:
-                raise ScenarioError(f"[{section}].{key}: unknown key; have {', '.join(keys)}")
+                raise ScenarioError(f"[{section}]: unknown key {echo(key)}; have {', '.join(keys)}")
             field, attr, read = keys[key]
             given[field][attr] = _read(read, raw, section, key)
         for field, attrs in given.items():

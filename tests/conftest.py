@@ -19,8 +19,10 @@ def base_costs():
 def mask_costs_with_gaps(draw):
     """Valid mask costs whose orderings hold with comfortable margins.
 
-    Gaps of at least 0.01 keep every strict comparison far away from the
-    1e-9 solver tolerance, so equilibrium sets stay unique.
+    The solvers compare costs exactly, so the strict orderings alone keep the
+    equilibrium sets unique.  The gaps and the bounded magnitudes keep the
+    float checks some tests make, such as ``check_affine`` within 1e-9, well
+    inside their allowance.
     """
     c_out = draw(st.floats(0.01, 20))
     c_in = c_out + draw(st.floats(0.01, 50))

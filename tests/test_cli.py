@@ -5,11 +5,13 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_PARAMS
-from epigames import cli, oracle
+from epigames import cli, oracle, pair_game, parse_scenario, solve
 from epigames.distancing import MAX_GRID_STEPS
 from epigames.policy import POLICY_PARAMS
 from epigames.scenario import MAX_SCENARIO_BYTES, _SECTIONS
@@ -335,6 +337,36 @@ def test_long_number_text_exits_one_with_a_short_line(tmp_path, capsys, section,
         assert "5001 characters" in err
 
 
+LONG = "y" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        pytest.param(BASELINE.replace("baseline =", f"baseline = {LONG}"),
+                     ("[policies].baseline", "unknown policy kind"), id="policy-kind"),
+        pytest.param(BASELINE.replace("baseline =", f"baseline = free_masks subsidy={LONG}"),
+                     ("[policies].baseline", "expected a number for subsidy"), id="policy-number"),
+        pytest.param(BASELINE.replace("baseline =", f"baseline = lockdown {LONG}=1"),
+                     ("[policies].baseline", "does not take"), id="policy-parameter"),
+        pytest.param(BASELINE.replace("[mask]\n", f"[mask]\n{LONG} = 1\n"),
+                     ("[mask]: unknown key",), id="key"),
+        pytest.param(BASELINE + f"[{LONG}]\nx = 1\n", ("unknown section",), id="section"),
+        pytest.param(BASELINE.replace("linear:10,0", LONG), ("[functions].benefit",), id="function"),
+        pytest.param(BASELINE.replace("[mask]\n", f"[mask]\n{LONG}\n"), ("line 2",), id="line"),
+        pytest.param(f"{LONG}\n{BASELINE}", ("line 1", "[section] header"), id="header"),
+    ],
+)
+def test_long_echoed_text_exits_one_with_a_short_line(tmp_path, capsys, text, named):
+    path = tmp_path / "long.ini"
+    path.write_text(text, encoding="utf-8")
+    result = run_cli(capsys, "policy-compare", "--scenario", str(path))
+    _assert_one_line_scenario_error(*result, (*named, "5000 characters"))
+    err = result[2].replace(str(path), "")
+    # the text is cut to 40 characters; the unknown-kind line also lists the six kinds
+    assert LONG[:41] not in err and len(err) < 250
+
+
 @pytest.mark.parametrize(
     "content, named",
     [
@@ -447,6 +479,67 @@ def test_float_range_failures_exit_two_naming_them(
     for flags in ([], ["--verify"]):
         code, out, err = run_cli(capsys, command, "--scenario", path, *flags)
         assert (code, out, err) == (2, "", f"epigames: domain error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("mask-basic", "the cost c_out + c_infection leaves a float's range"),
+        ("mask-bayesian", "expected_cost_no is nan: the scenario's magnitudes leave a float's range"),
+    ],
+)
+def test_overflowing_mask_costs_exit_two_naming_the_cost(tmp_path, capsys, command, message):
+    # every price is a valid float, but an infected player's c_out + c_infection is not
+    edits = [("mask", "c_out", "1e307"), ("mask", "c_in", "1e308"),
+             ("mask", "c_use", "1e308"), ("mask", "c_infection", "1.7e308")]
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    for flags in ([], ["--format", "csv"], ["--verify"]):
+        result = run_cli(capsys, command, "--scenario", path, *flags)
+        assert result == (2, "", f"epigames: domain error: {message}\n")
+
+
+def _reference_solution(game_name, costs):
+    """Equilibria and optima of one pair game, by label, from the game's rules in exact arithmetic."""
+    infected = {"both_susceptible": (False, False), "one_infected": (False, True),
+                "both_infected": (True, True)}[game_name]
+    price = {"no": 0, "out": Fraction(costs.c_out), "in": Fraction(costs.c_in)}
+
+    def cost(own, other, own_infected, other_infected):
+        exposed = other_infected and own != "in" and other != "out"
+        return price[own] + (Fraction(costs.c_infection) if own_infected or exposed else 0)
+
+    table = {(x, y): (cost(x, y, *infected), cost(y, x, *infected[::-1])) for x in price for y in price}
+    equilibria = [
+        (x, y) for x, y in table
+        if all(table[x, y][0] <= table[a, y][0] for a in price)
+        and all(table[x, y][1] <= table[x, b][1] for b in price)
+    ]
+    lowest = min(map(sum, table.values()))
+    return equilibria, [profile for profile, pair in table.items() if sum(pair) == lowest]
+
+
+def test_mask_basic_decides_exactly_where_a_float_sum_drops_the_price(tmp_path, capsys):
+    # 5.5e14 is a float with a step of 0.0625, so each price vanishes when a float adds it
+    edits = [("mask", "c_out", "0.005"), ("mask", "c_in", "0.03"),
+             ("mask", "c_use", "0.03"), ("mask", "c_infection", "5.5e14")]
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    code, out, err = run_cli(capsys, "mask-basic", "--scenario", path, "--verify", "--format", "csv")
+    assert (code, err) == (0, "")
+    listed = {}
+    for game, item, _, lab1, lab2, _, _ in parse_csv(out)[1:]:
+        listed.setdefault((game, item), []).append((lab1, lab2))
+    assert listed["one_infected", "nash_equilibrium"] == [("in", "no")]
+    assert listed["one_infected", "social_optimum"] == [("no", "out")]
+    assert listed["both_infected", "nash_equilibrium"] == [("no", "no")]
+    assert listed["both_infected", "social_optimum"] == [("no", "no")]
+    costs = parse_scenario(path).mask_costs
+    for name, status1, status2 in cli._STATUS_PAIRS:
+        game = pair_game(status1, status2, costs)
+        report = solve(game)
+        equilibria = [game.profile_labels(p) for p in report.pure_nash]
+        optima = [game.profile_labels(p) for p in report.social_optima]
+        assert _reference_solution(name, costs) == (equilibria, optima)
+        assert [game.profile_labels(p) for p in oracle.enumerate_pure_ne(game)] == equilibria
 
 
 @pytest.mark.parametrize("command", ["meeting-opt", "curves", "policy-compare"])
@@ -617,11 +710,37 @@ def _fuzzed_number(base=1.0):
     )
 
 
+# the keys that hold an amount of money, and the policy parameters that do
+_PRICE_KEYS = [("mask", key) for key in ("c_out", "c_in", "c_use", "c_infection")] + [
+    ("distancing", key) for key in ("B", "C", "L")
+]
+_POLICY_PRICE = re.compile(r"\b(subsidy|per_test_cost)=([^\s,]+)")
+
+
+def _in_unit(text, k):
+    """``text`` times 2^k where it is a finite number, else ``text`` unchanged."""
+    try:
+        value = float(text)
+    except ValueError:
+        return text
+    return repr(value * 2.0**k) if math.isfinite(value) else text
+
+
+def _fuzzed_price(base):
+    """A number as ``_fuzzed_number`` draws it, or ``base`` times [0, 3] in a unit 2^k
+    for k in [-40, 40], or any float up to 1.7e308."""
+    return st.one_of(
+        _fuzzed_number(base),
+        st.tuples(st.floats(0, 3), st.integers(-40, 40)).map(lambda t: repr(base * t[0] * 2.0 ** t[1])),
+        st.floats(0, 1.7e308).map(repr),
+    )
+
+
 def _fuzzed_policy():
     numbers = {
-        "subsidy": _fuzzed_number(100.0),
+        "subsidy": _fuzzed_price(100.0),
         "limit": st.integers(-2, 60).map(str),
-        "per_test_cost": _fuzzed_number(50.0),
+        "per_test_cost": _fuzzed_price(50.0),
         "traced_fraction": _fuzzed_number(0.1),
     }
     return st.sampled_from(sorted(POLICY_PARAMS)).flatmap(
@@ -643,6 +762,8 @@ def _fuzzed_value(section, key, raw):
         )
     if section == "policies":
         return st.lists(_fuzzed_policy(), max_size=3).map(", ".join)
+    if (section, key) in _PRICE_KEYS:
+        return _fuzzed_price(float(raw))
     return _fuzzed_number(float(raw))
 
 
@@ -655,10 +776,16 @@ _FUZZ_KEYS = [(section, key) for section in _FUZZ_BASE.sections() for key in _FU
 
 @st.composite
 def _fuzzed_scenario(draw):
-    """baseline.ini (at a 40-step grid) with a few values replaced and a section maybe dropped."""
+    """baseline.ini (at a 40-step grid) with a few values replaced, every price maybe
+    moved to a unit 2^k (k in [-40, 40]), and a section maybe dropped."""
     sections = {section: dict(_FUZZ_BASE.items(section)) for section in _FUZZ_BASE.sections()}
     for section, key in draw(st.lists(st.sampled_from(_FUZZ_KEYS), max_size=3)):
         sections[section][key] = draw(_fuzzed_value(section, key, _FUZZ_BASE[section][key]))
+    unit = draw(st.one_of(st.just(0), st.integers(-40, 40)))
+    for section, key in _PRICE_KEYS:
+        sections[section][key] = _in_unit(sections[section][key], unit)
+    for name, raw in sections["policies"].items():
+        sections["policies"][name] = _POLICY_PRICE.sub(lambda m: f"{m[1]}={_in_unit(m[2], unit)}", raw)
     dropped = draw(st.one_of(st.none(), st.sampled_from(sorted(sections))))
     return "\n".join(
         f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in pairs.items())

@@ -71,14 +71,14 @@ class TestGridArgmin:
 
 class TestCheckAffine:
     def test_straight_line_passes(self):
-        assert oracle.check_affine(lambda x: 3 * x - 2, 0.0, 0.4, 1.0)
+        assert oracle.check_affine(lambda x: 3 * x - 2, 0.0, 0.4, 1.0, 1e-9)
 
     def test_constant_passes(self):
-        assert oracle.check_affine(lambda x: 7.0, -1.0, 0.0, 2.0)
+        assert oracle.check_affine(lambda x: 7.0, -1.0, 0.0, 2.0, 1e-9)
 
     def test_parabola_fails(self):
-        assert not oracle.check_affine(lambda x: x * x, 0.0, 0.5, 1.0)
+        assert not oracle.check_affine(lambda x: x * x, 0.0, 0.5, 1.0, 1e-9)
 
     def test_sample_points_must_be_distinct(self):
         with pytest.raises(ValueError, match="distinct"):
-            oracle.check_affine(lambda x: x, 0.0, 0.0, 1.0)
+            oracle.check_affine(lambda x: x, 0.0, 0.0, 1.0, 1e-9)

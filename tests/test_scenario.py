@@ -194,11 +194,11 @@ class TestValidationMessages:
             parse_scenario(write(tmp_path, full_with(section, key, value)))
 
     def test_unknown_section_named(self, tmp_path):
-        with pytest.raises(ScenarioError, match=r"unknown section \[masks\]"):
+        with pytest.raises(ScenarioError, match=r"unknown section 'masks'"):
             parse_scenario(write(tmp_path, "[masks]\nc_out = 1\n"))
 
     def test_unknown_key_named(self, tmp_path):
-        with pytest.raises(ScenarioError, match=r"\[bayesian\].rho2: unknown key"):
+        with pytest.raises(ScenarioError, match=r"\[bayesian\]: unknown key 'rho2'"):
             parse_scenario(write(tmp_path, "[bayesian]\nrho = 0.5\np1 = 0.5\nrho2 = 1\n"))
 
     def test_missing_key_named(self, tmp_path):
