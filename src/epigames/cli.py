@@ -245,12 +245,16 @@ def _cmd_mask_efficiency(config: ScenarioConfig, opts: ReportOptions) -> str:
             mismatches.append(
                 f"best_p {analysis.best_p} disagrees with grid minimum {grid.x_star}"
             )
+        # The cost is linear in (c_use, c_infection), so the differences are taken in a
+        # power-of-two unit of c_infection: exact, and 2 * cost_at(0.5) cannot overflow.
+        shift = -math.frexp(costs.c_infection)[1]
         h = 0.01
-        samples = (cost_at(0.5 + h), cost_at(0.5), cost_at(0.5 - h))
+        samples = [math.ldexp(cost_at(p), shift) for p in (0.5 + h, 0.5, 0.5 - h)]
         curvature = (samples[0] - 2 * samples[1] + samples[2]) / (h * h)
         # exact for a quadratic but for the samples' rounding, which a flat cost (b = 1) shows
         rounding = 64 * sys.float_info.epsilon * max(samples) / (h * h)
-        if not math.isclose(curvature, analysis.second_derivative, rel_tol=1e-6, abs_tol=rounding):
+        expected = math.ldexp(analysis.second_derivative, shift)
+        if not math.isclose(curvature, expected, rel_tol=1e-6, abs_tol=rounding):
             mismatches.append("second derivative disagrees with finite differences")
         _fail_verify(mismatches)
 

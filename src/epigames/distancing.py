@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, FieldError, echo
 from .value import Value
@@ -116,11 +116,24 @@ class MeetingDomain(Value):
             rule = "positive" if self.grid_steps < 1 else f"at most {MAX_GRID_STEPS}"
             raise FieldError(f"grid_steps must be {rule}, got {self.grid_steps}", "grid_steps")
 
-    def grid(self) -> list[float]:
-        """grid_steps + 1 evenly spaced samples, endpoints included exactly."""
-        width = (self.z_max - self.z_min) / self.grid_steps
-        points = [self.z_min + k * width for k in range(self.grid_steps + 1)]
-        points[-1] = self.z_max
+    def grid(self) -> tuple[float, ...]:
+        """grid_steps + 1 evenly spaced samples, endpoints included exactly.
+
+        Built on the first call; later calls return the same shared tuple, so the
+        optimum, the curve and every policy set of one ``compare_policies`` call
+        read one grid.  The domain keeps it for its lifetime, about 32 bytes a
+        point (32 MB at MAX_GRID_STEPS); ``ScenarioConfig``'s default domain keeps
+        its 10,001 points for the whole process.  The grid is not a field:
+        equality, hash, repr and ``replace`` ignore it, and a replaced domain
+        builds its own.
+        """
+        points = self.__dict__.get("_grid")
+        if points is None:
+            width = (self.z_max - self.z_min) / self.grid_steps
+            built = [self.z_min + k * width for k in range(self.grid_steps + 1)]
+            built[-1] = self.z_max
+            points = tuple(built)
+            object.__setattr__(self, "_grid", points)  # Value refuses assignment
         return points
 
 
@@ -162,7 +175,9 @@ def stay_home_decision(params: DistancingParams) -> StayHomeDecision:
     """Stay home iff (benefit + home_cost) / (rho * mortality) < life_value.
 
     Decided on the ``Fraction``s the inputs denote.  With no infection risk going
-    out always wins; the threshold is unbounded where rho * mortality rounds to 0.
+    out always wins and the threshold is unbounded.  Where the float rho * mortality
+    rounds to 0 but the exact product does not, the threshold is the exact ratio
+    rounded to a float, and inf only beyond a float's range.
     """
     exposure = Fraction(params.infection_prob) * Fraction(params.mortality)
     if exposure == 0:
@@ -170,7 +185,13 @@ def stay_home_decision(params: DistancingParams) -> StayHomeDecision:
     stakes = Fraction(params.benefit) + Fraction(params.home_cost)
     decision = Decision.STAY if stakes < Fraction(params.life_value) * exposure else Decision.GO
     rounded = params.infection_prob * params.mortality
-    threshold = (params.benefit + params.home_cost) / rounded if rounded else math.inf
+    if rounded:
+        threshold = (params.benefit + params.home_cost) / rounded
+    else:
+        try:
+            threshold = float(stakes / exposure)
+        except OverflowError:
+            threshold = math.inf
     return StayHomeDecision(decision, threshold)
 
 
@@ -218,7 +239,7 @@ def z_objective(
 
 
 def objective_values(
-    zs: list[float],
+    zs: Sequence[float],
     benefit_fn: CostBenefitFunction,
     cost_fn: CostBenefitFunction,
     rho: float,
@@ -256,10 +277,12 @@ def optimal_meeting(
 ) -> MeetingOptimum:
     """Maximize the meeting objective by a uniform scan of ``domain.grid()``.
 
-    The values come from ``objective_values``, the kernel ``curve_series``
-    shares, and the first maximum wins: ties break toward smaller z (less
-    exposure).  ``--verify`` still evaluates the grid point by point through
-    ``z_objective``, as the kernel's independent check.
+    The grid is the domain's shared tuple, built on its first use, so repeated
+    optima on one domain rebuild nothing.  The values come from
+    ``objective_values``, the kernel ``curve_series`` shares, and the first
+    maximum wins: ties break toward smaller z (less exposure).  ``--verify``
+    still evaluates the grid point by point through ``z_objective``, as the
+    kernel's independent check.
 
     The scan is exact for the constant and linear functions of this module,
     and the argument covers only those two kinds: the objective is

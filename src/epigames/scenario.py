@@ -223,8 +223,15 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
             f"malformed scenario file {path}: line {lineno}: expected 'key = value',"
             f" got {echo(lines[lineno - 1].strip())}"
         ) from None
-    except configparser.Error as exc:  # duplicates, whose one-line message names the line
-        raise ScenarioError(f"malformed scenario file {path}: {exc}") from None
+    except configparser.DuplicateOptionError as exc:  # its own message repeats the whole key
+        raise ScenarioError(
+            f"malformed scenario file {path}: line {exc.lineno}: repeated key {echo(exc.option)}"
+            f" in section {echo(exc.section)}"
+        ) from None
+    except configparser.DuplicateSectionError as exc:
+        raise ScenarioError(
+            f"malformed scenario file {path}: line {exc.lineno}: repeated section {echo(exc.section)}"
+        ) from None
 
     for section in parser.sections():
         if section not in _SECTIONS:

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from conftest import SAMPLE_PARAMS
 from epigames import cli, oracle, pair_game, parse_scenario, solve
-from epigames.distancing import MAX_GRID_STEPS
-from epigames.policy import POLICY_PARAMS
+from epigames.distancing import MAX_GRID_STEPS, MeetingDomain
+from epigames.policy import POLICY_PARAMS, compare_policies
 from epigames.scenario import MAX_SCENARIO_BYTES, _SECTIONS
 
 BASELINE = """\
@@ -355,6 +355,9 @@ LONG = "y" * 5000
         pytest.param(BASELINE.replace("linear:10,0", LONG), ("[functions].benefit",), id="function"),
         pytest.param(BASELINE.replace("[mask]\n", f"[mask]\n{LONG}\n"), ("line 2",), id="line"),
         pytest.param(f"{LONG}\n{BASELINE}", ("line 1", "[section] header"), id="header"),
+        pytest.param(BASELINE.replace("[mask]\n", f"[mask]\n{LONG} = 1\n{LONG} = 2\n"),
+                     ("line 3", "repeated key", "in section 'mask'"), id="repeated-key"),
+        pytest.param(BASELINE + f"[{LONG}]\nx = 1\n[{LONG}]\n", ("repeated section",), id="repeated-section"),
     ],
 )
 def test_long_echoed_text_exits_one_with_a_short_line(tmp_path, capsys, text, named):
@@ -444,6 +447,43 @@ def test_baseline_reports_match_their_golden_digests(capsys, command, fmt):
     code, out, err = run_cli(capsys, command, "--scenario", str(BASELINE_FILE), "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[command, fmt]
+
+
+@pytest.fixture
+def grids_returned(monkeypatch):
+    """Every tuple ``MeetingDomain.grid`` returns, kept alive so that each build has its own id."""
+    returned = []
+    grid = MeetingDomain.grid
+
+    def recording(domain):
+        returned.append(grid(domain))
+        return returned[-1]
+
+    monkeypatch.setattr(MeetingDomain, "grid", recording)
+    return returned
+
+
+def test_one_meeting_opt_run_builds_one_grid(capsys, grids_returned):
+    assert run_cli(capsys, "meeting-opt", "--scenario", str(BASELINE_FILE))[0] == 0
+    assert len(grids_returned) > 1 and len({id(grid) for grid in grids_returned}) == 1
+
+
+def test_ranking_the_baseline_policy_sets_builds_one_grid(grids_returned):
+    config = parse_scenario(BASELINE_FILE)
+    sets = [policies for _, policies in config.policy_sets]
+    assert len(sets) == 8
+    compare_policies(config.to_scenario(), sets, config.designer)
+    assert len(grids_returned) > 1 and len({id(grid) for grid in grids_returned}) == 1
+
+
+def test_mask_efficiency_verify_differences_costs_near_the_float_range(tmp_path, capsys):
+    # 2 * cost_at(0.5) would overflow in the prices' own unit
+    edits = [("mask", "c_use", "0.88e308"), ("mask", "c_infection", "0.89e308"),
+             ("mask", "a", "0.99"), ("mask", "b", "0.99")]
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    plain = run_cli(capsys, "mask-efficiency", "--scenario", path)
+    assert plain[0] == 0 and plain[2] == ""
+    assert run_cli(capsys, "mask-efficiency", "--scenario", path, "--verify") == plain
 
 
 def test_overflowing_aggregate_exits_two_naming_it(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import math
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -92,6 +93,23 @@ class TestStayHomeDecision:
         result = stay_home_decision(params)
         assert result.decision is Decision.GO
         assert math.isinf(result.life_value_threshold)
+
+    @pytest.mark.parametrize(
+        "benefit, life_value, decision, threshold",
+        [
+            pytest.param(0.0, 1.0, Decision.STAY, 0.0, id="no-stakes"),
+            pytest.param(1e-300, 1e24, Decision.STAY,
+                         float(Fraction(1e-300) / (Fraction(5e-324) * Fraction(0.5))), id="finite-ratio"),
+            pytest.param(1.0, 1e300, Decision.GO, math.inf, id="beyond-a-float"),
+        ],
+    )
+    def test_threshold_agrees_with_the_decision_where_rho_m_rounds_to_zero(
+        self, benefit, life_value, decision, threshold
+    ):
+        assert 5e-324 * 0.5 == 0  # the float product underflows; the exact one does not
+        result = stay_home_decision(DistancingParams(benefit, 0.0, 0.5, life_value, 5e-324))
+        assert result == (decision, threshold)
+        assert (result.life_value_threshold < life_value) == (decision is Decision.STAY)
 
     @given(
         st.floats(1, 1e4),
@@ -448,6 +466,33 @@ class TestCurveSeries:
         )
         values = [value for _, value in series]
         assert all(earlier > later for earlier, later in zip(values, values[1:]))
+
+
+def _grid_from_scratch(z_min, z_max, steps):
+    width = (z_max - z_min) / steps
+    return (*(z_min + k * width for k in range(steps)), z_max)
+
+
+class TestMeetingGrid:
+    def test_grid_is_built_once_and_shared(self):
+        domain = MeetingDomain(0.1, 100, 250)
+        assert domain.grid() is domain.grid()
+        assert domain.grid() == _grid_from_scratch(0.1, 100, 250)
+
+    @pytest.mark.parametrize("changes", [{}, {"grid_steps": 500}, {"z_min": 0.5}], ids=repr)
+    def test_replace_builds_a_fresh_grid_equal_to_one_built_from_scratch(self, changes):
+        domain = MeetingDomain(0.1, 100, 250)
+        shared = domain.grid()
+        replaced = domain.replace(**changes)
+        assert replaced.grid() is not shared
+        assert replaced.grid() == _grid_from_scratch(replaced.z_min, replaced.z_max, replaced.grid_steps)
+        assert domain.grid() is shared
+
+    def test_kept_grid_leaves_equality_hash_and_repr_alone(self):
+        used, fresh = MeetingDomain(0.1, 100, 250), MeetingDomain(0.1, 100, 250)
+        used.grid()
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert used.replace(grid_steps=250) == fresh
 
 
 class TestInputTypes:
