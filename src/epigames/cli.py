@@ -50,6 +50,13 @@ _STATUS_PAIRS = (
 )
 
 
+# 17 significant digits round-trip any double; more would only pad the report
+MAX_PRECISION = 17
+# from this magnitude on a table cell is in exponent form: a double's fixed-point
+# digits past the 17th significant one are noise
+EXPONENT_FROM = 1e16
+
+
 class ReportOptions(Value):
     fmt: str = "table"
     precision: int = 6
@@ -81,13 +88,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _formatter(opts: ReportOptions) -> Callable[[object], str]:
-    """The text of one report cell: numbers to ``opts.precision``, inf as 'inf',
-    booleans as 'true'/'false', None empty."""
-    spec = f".{opts.precision}{'f' if opts.fmt == 'table' else 'g'}"
+    """The text of one report cell: numbers to ``opts.precision``, in exponent form
+    in a table from ``EXPONENT_FROM`` on, inf as 'inf', booleans as 'true'/'false',
+    None empty."""
+    table = opts.fmt == "table"
+    spec = f".{opts.precision}{'f' if table else 'g'}"
+    huge = f".{opts.precision}{'e' if table else 'g'}"
 
     def text(value: object) -> str:
         if isinstance(value, float):
-            return "inf" if value == math.inf else format(value, spec)
+            if value == math.inf:
+                return "inf"
+            return format(value, spec if abs(value) < EXPONENT_FROM else huge)
         if value is None:
             return ""
         if isinstance(value, bool):
@@ -462,10 +474,11 @@ def run(argv: list[str] | None = None) -> int:
     """Parse arguments, dispatch, and emit the report; returns the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    opts = ReportOptions(fmt=args.format, precision=args.precision, verify=args.verify)
-    if opts.precision < 1:
-        print("epigames: error: --precision must be at least 1", file=sys.stderr)
+    if not 1 <= args.precision <= MAX_PRECISION:
+        rule = "at least 1" if args.precision < 1 else f"at most {MAX_PRECISION}"
+        print(f"epigames: error: --precision must be {rule}", file=sys.stderr)
         return 1
+    opts = ReportOptions(fmt=args.format, precision=args.precision, verify=args.verify)
     try:
         config = parse_scenario(args.scenario)
         if args.grid_steps is not None:

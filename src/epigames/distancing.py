@@ -174,24 +174,20 @@ class StayHomeDecision(NamedTuple):
 def stay_home_decision(params: DistancingParams) -> StayHomeDecision:
     """Stay home iff (benefit + home_cost) / (rho * mortality) < life_value.
 
-    Decided on the ``Fraction``s the inputs denote.  With no infection risk going
-    out always wins and the threshold is unbounded.  Where the float rho * mortality
-    rounds to 0 but the exact product does not, the threshold is the exact ratio
-    rounded to a float, and inf only beyond a float's range.
+    Decided on the ``Fraction``s the inputs denote.  The threshold is the exact
+    ratio the decision compares, rounded to a float once, so it never falls on the
+    wrong side of life_value; it is inf beyond a float's range, and with no
+    infection risk, where going out always wins.
     """
     exposure = Fraction(params.infection_prob) * Fraction(params.mortality)
     if exposure == 0:
         return StayHomeDecision(Decision.GO, math.inf)
     stakes = Fraction(params.benefit) + Fraction(params.home_cost)
     decision = Decision.STAY if stakes < Fraction(params.life_value) * exposure else Decision.GO
-    rounded = params.infection_prob * params.mortality
-    if rounded:
-        threshold = (params.benefit + params.home_cost) / rounded
-    else:
-        try:
-            threshold = float(stakes / exposure)
-        except OverflowError:
-            threshold = math.inf
+    try:
+        threshold = float(stakes / exposure)
+    except OverflowError:
+        threshold = math.inf
     return StayHomeDecision(decision, threshold)
 
 

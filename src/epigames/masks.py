@@ -4,8 +4,9 @@ Covers the full-information pair games over the actions (no, out, in), the
 Bayesian analysis under unknown health status (merged action ``use``), the
 mask-efficiency analysis with imperfect protection, and the many-player
 assignment rule with its social-optimality condition.
-The pair games, the Bayesian rule and the efficiency analysis decide on the
-``Fraction``s their float inputs denote; the numbers a report prints stay floats.
+Every decision here compares the ``Fraction``s its float inputs denote; the
+numbers a report prints stay floats, and a printed threshold is the exact
+quantity its decision compares, rounded once.
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ class MaskCondition(NamedTuple):
 def bayesian_mask_condition(setting: BayesianSetting, costs: MaskCosts) -> MaskCondition:
     """Wearing lowers the expected cost iff c_use/c_infection < rho(1-rho)(1-p1)."""
     rho, p1 = Fraction(setting.rho), Fraction(setting.p1)
-    wear = Fraction(costs.c_use) < rho * (1 - rho) * (1 - p1) * Fraction(costs.c_infection)
-    return MaskCondition(setting.rho * (1 - setting.rho) * (1 - setting.p1), wear)
+    ratio = rho * (1 - rho) * (1 - p1)
+    return MaskCondition(float(ratio), Fraction(costs.c_use) < ratio * Fraction(costs.c_infection))
 
 
 def bayesian_best_p2(setting: BayesianSetting, costs: MaskCosts) -> float:
@@ -218,7 +219,8 @@ def efficiency_analysis(eff: EfficiencyParams, costs: MaskCosts) -> EfficiencyAn
             f"second_derivative is {curvature}: the scenario's magnitudes leave a float's range"
         )
     fa, fb, fu, fi = Fraction(a), Fraction(b), Fraction(cu), Fraction(ci)
-    beats = fu < (1 - fa * fb) * fi
+    ratio = 1 - fa * fb
+    beats = fu < ratio * fi
     pull = fi * (2 - fa - fb) - fu  # minus the cost's slope at p = 0
     if degenerate:
         stationary = None
@@ -228,7 +230,7 @@ def efficiency_analysis(eff: EfficiencyParams, costs: MaskCosts) -> EfficiencyAn
         # convex, so clamping is exact; the unrounded stationary point picks the side
         exact = pull / (2 * fi * (1 - fa) * (1 - fb))
         best = 0.0 if exact <= 0 else 1.0 if exact >= 1 else min(1.0, max(0.0, stationary))
-    return EfficiencyAnalysis(stationary, curvature, 1 - a * b, beats, best, degenerate)
+    return EfficiencyAnalysis(stationary, curvature, float(ratio), beats, best, degenerate)
 
 
 class MultiplayerEquilibrium(NamedTuple):
@@ -263,11 +265,12 @@ def multiplayer_so_condition(rho: float, costs: MaskCosts) -> SocialOptimumCondi
     """Whether the many-player equilibrium is also the social optimum.
 
     Susceptibles wearing in-masks beats infected wearing out-masks exactly
-    when c_in/c_out < rho/(1-rho); at rho=1 the right side is unbounded and
-    the condition holds vacuously.
+    when c_in/c_out < rho/(1-rho), decided as c_in(1-rho) < rho*c_out on the
+    ``Fraction``s, which holds at rho=1 whenever c_out > 0.
     """
     if not 0 <= rho <= 1:
         raise ValueError(f"rho must be within [0, 1], got {rho}")
     lhs = math.inf if costs.c_out == 0 else costs.c_in / costs.c_out
     rhs = math.inf if rho == 1 else rho / (1 - rho)
-    return SocialOptimumCondition(lhs < rhs, lhs, rhs)
+    holds = Fraction(costs.c_in) * (1 - Fraction(rho)) < Fraction(rho) * Fraction(costs.c_out)
+    return SocialOptimumCondition(holds, lhs, rhs)

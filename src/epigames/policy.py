@@ -300,7 +300,12 @@ def evaluate_mechanism(
     choose masks: revealed statuses play the full-information pair games
     (susceptibles wear in-masks whenever infected players exist, infected
     players go maskless), unrevealed citizens follow the Bayesian rule, and
-    a mandate forces the out-mask on everyone.  As in the pair games, each
+    a mandate forces the out-mask on everyone.  The revealed play is the
+    pessimistic pure equilibrium of ``pair_game`` at every valid price, free
+    masks included: of the equilibria, the one with the highest total cost,
+    ties broken by table order.  That is (in, no) for a susceptible meeting an
+    infected player, (no, no) for two susceptibles, and (out, out) in the game
+    a mandate ``restrict``s to the out-mask.  As in the pair games, each
     action's price and protection come from ``MASK_ACTIONS``: exposure scales
     by ``a`` for susceptibles whose mask protects its wearer and by ``b`` for
     infected counterparts whose mask protects others (so not ``a`` for an

@@ -688,6 +688,49 @@ def test_out_of_range_flag_exits_one_naming_the_flag(capsys, flag, value):
     assert err.count("\n") == 1 and err.startswith(f"epigames: error: {flag}")
 
 
+@pytest.mark.parametrize(
+    "command, value",
+    [
+        ("curves", "1000000"),  # about 20 GB of cell text
+        ("distancing", "3000000000"),  # past what format() takes
+        ("distancing", "1" + "0" * 400),  # past what ReportOptions takes
+    ],
+    ids=["curves-1e6", "distancing-3e9", "distancing-1e400"],
+)
+def test_precision_above_the_maximum_exits_one_before_any_work(capsys, command, value):
+    # the scenario does not exist: the flag is refused before the file is read
+    code, out, err = run_cli(capsys, command, "--scenario", "missing.ini", "--precision", value)
+    assert (code, out, err) == (1, "", f"epigames: error: --precision must be at most {cli.MAX_PRECISION}\n")
+
+
+def test_maximum_precision_round_trips_every_cell(capsys):
+    code, out, _ = run_cli(
+        capsys, "distancing", "--scenario", str(BASELINE_FILE), "--format", "csv",
+        "--precision", str(cli.MAX_PRECISION),
+    )
+    header, row = parse_csv(out)
+    threshold = float(row[header.index("life_value_threshold")])
+    assert code == 0 and threshold == float(Fraction(3500) / (Fraction(0.0077) * Fraction(0.034)))
+
+
+def test_huge_table_cells_print_in_exponent_form(tmp_path, capsys):
+    edits = [("mask", "c_use", "0.88e308"), ("mask", "c_infection", "0.89e308")]
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    code, out, err = run_cli(capsys, "mask-efficiency", "--scenario", path)
+    assert (code, err) == (0, "")
+    assert max(map(len, out.splitlines())) <= 80
+    assert "c_infection             8.900000e+307\n" in out
+
+
+def test_exponent_form_starts_at_its_documented_magnitude():
+    below = math.nextafter(cli.EXPONENT_FROM, 0)
+    rows = [[below, -below, cli.EXPONENT_FROM, -cli.EXPONENT_FROM]]
+    table = cli._render_table(["a", "b", "c", "d"], rows, cli.ReportOptions(precision=2))
+    assert table.splitlines()[1].split() == [
+        "9999999999999998.00", "-9999999999999998.00", "1.00e+16", "-1.00e+16"
+    ]
+
+
 # the sections each subcommand cannot run without ([meeting] has defaults)
 SECTIONS_READ = {
     "mask-basic": ("mask",),

@@ -1,6 +1,8 @@
 """Decisions compare the rationals their float inputs denote: neither the unit of
 currency nor the rounding of a float computation can change them."""
 
+import math
+import sys
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +17,7 @@ from epigames import (
     MaskCosts,
     bayesian_mask_condition,
     efficiency_analysis,
+    multiplayer_so_condition,
     pair_game,
     solve,
     stay_home_decision,
@@ -102,3 +105,69 @@ def test_near_ties_fall_on_the_side_of_the_exact_inputs():
     params = DistancingParams(1e16, 1.5, 1.0, 1e16 + 2, 1.0)
     assert params.benefit + params.home_cost == params.life_value
     assert stay_home_decision(params).decision is Decision.STAY
+
+
+# A printed threshold is the exact quantity its decision compares, rounded once, so it
+# can never fall on the other side of the value the decision weighs against it.
+
+
+def test_stay_home_threshold_is_the_exact_ratio_where_rho_m_is_subnormal():
+    params = DistancingParams(1e-20, 0.0, 0.7, 1.4284865150362622e300, 1e-320)
+    assert 0 < params.infection_prob * params.mortality < 2.2250738585072014e-308
+    result = stay_home_decision(params)
+    assert result.decision is Decision.GO
+    assert result.life_value_threshold == float(Fraction(1e-20) / (Fraction(1e-320) * Fraction(0.7)))
+    assert result.life_value_threshold >= params.life_value
+
+
+@st.composite
+def _near_tie_distancing(draw):
+    """Distancing inputs whose life value lies within a few ulps of the exact threshold."""
+    tiny = st.floats(5e-324, 1e-300)  # subnormal and near-subnormal risk products
+    rho = draw(st.one_of(probabilities(), tiny))
+    m = draw(st.one_of(st.floats(0, 1), tiny))
+    b, c = draw(st.floats(0, 1e300)), draw(st.floats(0, 1e300))
+    exposure = Fraction(rho) * Fraction(m)
+    if exposure == 0:
+        return DistancingParams(b, c, m, draw(st.floats(0, 1e300)), rho)
+    try:
+        life = float((Fraction(b) + Fraction(c)) / exposure)
+    except OverflowError:
+        life = sys.float_info.max
+    for _ in range(draw(st.integers(0, 2))):
+        life = math.nextafter(life, draw(st.sampled_from([0.0, math.inf])))
+    return DistancingParams(b, c, m, min(life, sys.float_info.max), rho)
+
+
+@settings(max_examples=300, deadline=None)
+@example(DistancingParams(1e-20, 0.0, 0.7, 1.4284865150362622e300, 1e-320))
+@example(DistancingParams(1.0, 0.0, 0.5, 1e300, 5e-324))  # the ratio overflows: inf
+@given(_near_tie_distancing())
+def test_stay_home_threshold_lies_on_the_side_of_its_decision(params):
+    result = stay_home_decision(params)
+    if result.decision is Decision.STAY:
+        assert result.life_value_threshold <= params.life_value
+    else:
+        assert result.life_value_threshold >= params.life_value
+
+
+@example(BayesianSetting(0.1, 0.1), EfficiencyParams(0.1, 0.8))
+@given(
+    st.builds(BayesianSetting, probabilities(), probabilities()),
+    _efficiency(),
+)
+def test_mask_thresholds_are_their_exact_ratios_rounded_once(setting, eff):
+    rho, p1 = Fraction(setting.rho), Fraction(setting.p1)
+    bayesian = bayesian_mask_condition(setting, BASELINE)
+    assert bayesian.threshold == float(rho * (1 - rho) * (1 - p1))
+    efficiency = efficiency_analysis(eff, BASELINE)
+    assert efficiency.use_beats_no_threshold == float(1 - Fraction(eff.a) * Fraction(eff.b))
+
+
+def test_multiplayer_condition_is_decided_on_the_exact_inputs():
+    # c_in/c_out and rho/(1-rho) round to the same float, but the exact ratio is smaller
+    rho, costs = 0.805221830495954, MaskCosts(37.34756247377574, 154.3965255257777, 1.0, 1e6)
+    result = multiplayer_so_condition(rho, costs)
+    assert result.lhs == result.rhs
+    assert Fraction(costs.c_in) / Fraction(costs.c_out) < Fraction(rho) / (1 - Fraction(rho))
+    assert result.holds

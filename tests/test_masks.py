@@ -1,6 +1,7 @@
 """Tests for the mask-choice games and analyses."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -272,4 +273,5 @@ class TestMultiplayer:
     @given(st.floats(0.0, 0.999), mask_costs_with_gaps())
     def test_condition_is_direct_recomputation(self, rho, costs):
         result = multiplayer_so_condition(rho, costs)
-        assert result.holds == (costs.c_in / costs.c_out < rho / (1 - rho))
+        exact = Fraction(rho)
+        assert result.holds == (Fraction(costs.c_in) / Fraction(costs.c_out) < exact / (1 - exact))

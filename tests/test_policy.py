@@ -1,9 +1,9 @@
 """Tests for policy transformations and mechanism evaluation."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import probabilities, sample_policy
+from conftest import mask_costs_with_gaps, probabilities, sample_policy
 from epigames import (
     BayesianSetting,
     CostBenefitFunction,
@@ -285,6 +285,35 @@ class TestEvaluateMechanism:
         outcome = report.citizen_outcome
         assert outcome.revealed_susceptible_action == "in"
         assert outcome.revealed_infected_action == "no"
+
+    @settings(max_examples=200, deadline=None)
+    @example(MaskCosts(1.0, 10.0, 100.0, 1000.0), 100.0, 0.5, False)  # free masks: c_out = c_use = 0
+    @example(MaskCosts(1.0, 10.0, 100.0, 1000.0), 0.0, 0.0, False)
+    @given(
+        mask_costs_with_gaps(),
+        st.one_of(st.just(0.0), st.floats(0, 2000)),
+        st.one_of(st.sampled_from([0.0, 1.0]), probabilities()),
+        st.booleans(),
+    )
+    def test_revealed_play_is_the_pessimistic_pure_equilibrium(self, costs, subsidy, rho, mandate):
+        # the equilibrium of highest total cost, the first in table order among ties
+        def pessimistic(game):
+            worst = max(pure_nash_equilibria(game), key=lambda p: sum(game.pair(*p)))
+            return game.profile_labels(worst)
+
+        scenario = make_scenario(
+            mask_costs=costs, bayesian=BayesianSetting(rho, 0.5), meeting_domain=MeetingDomain(0.1, 100, 1)
+        )
+        policies = [Policy.free_masks(subsidy), Policy.mass_testing(50)]
+        if mandate:
+            policies.append(Policy.mask_mandate())
+        outcome = evaluate_mechanism(scenario, policies, MODEL).citizen_outcome
+        assert outcome.decision is Decision.GO
+        prices = apply_policy(scenario, Policy.free_masks(subsidy)).mask_costs
+        game = pair_game(S, HealthStatus.INFECTED if rho > 0 else S, prices)
+        susceptible, infected = pessimistic(restrict(game, ["out"], ["out"]) if mandate else game)
+        assert outcome.revealed_susceptible_action == (susceptible if rho < 1 else None)
+        assert outcome.revealed_infected_action == (infected if rho > 0 else None)
 
     def test_mandate_forces_out_masks_on_everyone(self):
         report = evaluate_mechanism(make_scenario(), [Policy.mask_mandate()], MODEL)
