@@ -232,7 +232,7 @@ def _cmd_mask_bayesian(config: ScenarioConfig, opts: ReportOptions) -> str:
             ("c_use", costs.c_use),
             ("c_infection", costs.c_infection),
             ("threshold_ratio", condition.threshold),
-            ("threshold", condition.threshold * costs.c_infection),
+            ("threshold", condition.price_threshold),
             ("expected_cost_no", cost_no),
             ("expected_cost_use", cost_use),
             ("best_p2", best),
@@ -252,22 +252,20 @@ def _cmd_mask_efficiency(config: ScenarioConfig, opts: ReportOptions) -> str:
 
     if opts.verify:
         mismatches = []
-        grid = oracle.grid_argmin(cost_at, 0.0, 1.0, 10_001)
-        if abs(grid.x_star - analysis.best_p) > 1e-4:
-            mismatches.append(
-                f"best_p {analysis.best_p} disagrees with grid minimum {grid.x_star}"
-            )
-        # The cost is linear in (c_use, c_infection), so the differences are taken in a
-        # power-of-two unit of c_infection: exact, and 2 * cost_at(0.5) cannot overflow.
-        shift = -math.frexp(costs.c_infection)[1]
-        h = 0.01
-        samples = [math.ldexp(cost_at(p), shift) for p in (0.5 + h, 0.5, 0.5 - h)]
-        curvature = (samples[0] - 2 * samples[1] + samples[2]) / (h * h)
-        # exact for a quadratic but for the samples' rounding, which a flat cost (b = 1) shows
-        rounding = 64 * sys.float_info.epsilon * max(samples) / (h * h)
-        expected = math.ldexp(analysis.second_derivative, shift)
-        if not math.isclose(curvature, expected, rel_tol=1e-6, abs_tol=rounding):
+        exact_eff, exact_costs = _exact(eff), _exact(costs)
+
+        def exact_cost_at(p: float | Fraction) -> Fraction:
+            return efficiency_expected_cost(Fraction(p), exact_eff, exact_costs)
+
+        h = Fraction(1, 100)  # a quadratic's second difference is its curvature, at any step
+        samples = [exact_cost_at(Fraction(1, 2) + k * h) for k in (1, 0, -1)]
+        if float((samples[0] - 2 * samples[1] + samples[2]) / (h * h)) != analysis.second_derivative:
             mismatches.append("second derivative disagrees with finite differences")
+        # best_p is the double nearest the convex cost's minimiser, or the minimising
+        # endpoint, so no double in [0, 1] costs less
+        grid = oracle.grid_argmin(cost_at, 0.0, 1.0, 10_001)
+        if exact_cost_at(grid.x_star) < exact_cost_at(analysis.best_p):
+            mismatches.append(f"grid point {grid.x_star} costs less than best_p {analysis.best_p}")
         _fail_verify(mismatches)
 
     return _render_kv(
@@ -422,7 +420,7 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> str:
                 report.policies_applied,
                 model,
             )
-            if not math.isclose(recomputed, report.designer_cost, rel_tol=1e-12, abs_tol=1e-9):
+            if recomputed != report.designer_cost:  # the same inputs in the same float operations
                 mismatches.append("designer cost disagrees with direct recomputation")
             if any(p.kind == LOCKDOWN for p in policies) and report.expected_infections != 0.0:
                 mismatches.append("lockdown produced nonzero expected infections")

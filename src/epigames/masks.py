@@ -155,13 +155,15 @@ def bayesian_expected_cost(setting: BayesianSetting, p2: float, costs: MaskCosts
 class MaskCondition(NamedTuple):
     threshold: float  # upper bound on c_use / c_infection for wearing to pay off
     wear: bool
+    price_threshold: float  # the same bound on c_use itself: threshold * c_infection
 
 
 def bayesian_mask_condition(setting: BayesianSetting, costs: MaskCosts) -> MaskCondition:
-    """Wearing lowers the expected cost iff c_use/c_infection < rho(1-rho)(1-p1)."""
+    """Wearing lowers the expected cost iff c_use < rho(1-rho)(1-p1) * c_infection."""
     rho, p1 = Fraction(setting.rho), Fraction(setting.p1)
     ratio = rho * (1 - rho) * (1 - p1)
-    return MaskCondition(float(ratio), Fraction(costs.c_use) < ratio * Fraction(costs.c_infection))
+    price = ratio * Fraction(costs.c_infection)  # at most c_infection / 4, so a float holds it
+    return MaskCondition(float(ratio), Fraction(costs.c_use) < price, float(price))
 
 
 def bayesian_best_p2(setting: BayesianSetting, costs: MaskCosts) -> float:
@@ -209,28 +211,22 @@ class EfficiencyAnalysis(Value):
 
 
 def efficiency_analysis(eff: EfficiencyParams, costs: MaskCosts) -> EfficiencyAnalysis:
-    """Minimize the efficiency cost over p in [0, 1], in closed form."""
-    a, b = eff.a, eff.b
-    cu, ci = costs.c_use, costs.c_infection
-    curvature = 2 * ci * (1 - a) * (1 - b)
-    degenerate = a == 1.0 or b == 1.0
-    if not math.isfinite(curvature) or curvature == 0 and not degenerate:
-        raise DomainError(
-            f"second_derivative is {curvature}: the scenario's magnitudes leave a float's range"
-        )
-    fa, fb, fu, fi = Fraction(a), Fraction(b), Fraction(cu), Fraction(ci)
+    """Minimize the efficiency cost over p in [0, 1], in closed form, on the exact inputs."""
+    fa, fb, fu, fi = map(Fraction, (eff.a, eff.b, costs.c_use, costs.c_infection))
+    curvature = 2 * fi * (1 - fa) * (1 - fb)
+    try:
+        second = float(curvature)
+    except OverflowError:
+        raise DomainError("second_derivative is inf: the scenario's magnitudes leave a float's range") from None
     ratio = 1 - fa * fb
-    beats = fu < ratio * fi
     pull = fi * (2 - fa - fb) - fu  # minus the cost's slope at p = 0
-    if degenerate:
-        stationary = None
-        best = 1.0 if pull > 0 else 0.0
+    if curvature == 0:  # a = 1 or b = 1: the cost is affine
+        stationary, best = None, 1.0 if pull > 0 else 0.0
     else:
-        stationary = (2 * ci - ci * (a + b) - cu) / curvature
-        # convex, so clamping is exact; the unrounded stationary point picks the side
-        exact = pull / (2 * fi * (1 - fa) * (1 - fb))
-        best = 0.0 if exact <= 0 else 1.0 if exact >= 1 else min(1.0, max(0.0, stationary))
-    return EfficiencyAnalysis(stationary, curvature, float(ratio), beats, best, degenerate)
+        exact = pull / curvature  # under 2**106 in magnitude for float inputs, so float() holds it
+        stationary = float(exact)
+        best = 0.0 if exact <= 0 else 1.0 if exact >= 1 else stationary  # convex: clamp exactly
+    return EfficiencyAnalysis(stationary, second, float(ratio), fu < ratio * fi, best, curvature == 0)
 
 
 class MultiplayerEquilibrium(NamedTuple):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_PARAMS
@@ -498,27 +498,95 @@ def test_overflowing_aggregate_exits_two_naming_it(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, section, key, value, message",
+    "command, edits, message",
     [
         pytest.param(
-            "meeting-opt", "distancing", "m", "1e-321",
+            "meeting-opt", [("distancing", "m", "1e-321")],
             "meeting objective needs a nonzero risk (1 - (1-rho)^z) * m, got 0 at z=0.1",
             id="risk-underflow",
         ),
         pytest.param(
-            "mask-efficiency", "mask", "c_infection", "1e308",
+            # the exact curvature 2 * c_infection * (1-a) * (1-b) is 2e308
+            "mask-efficiency", [("mask", "a", "0"), ("mask", "b", "0"), ("mask", "c_infection", "1e308")],
             "second_derivative is inf: the scenario's magnitudes leave a float's range",
             id="curvature-overflow",
         ),
     ],
 )
-def test_float_range_failures_exit_two_naming_them(
-    tmp_path, capsys, command, section, key, value, message
-):
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), [(section, key, value)])
+def test_float_range_failures_exit_two_naming_them(tmp_path, capsys, command, edits, message):
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
     for flags in ([], ["--verify"]):
         code, out, err = run_cli(capsys, command, "--scenario", path, *flags)
         assert (code, out, err) == (2, "", f"epigames: domain error: {message}\n")
+
+
+def test_curvature_whose_float_intermediates_overflow_is_reported(tmp_path, capsys):
+    # 2 * c_infection overflows a float, but the curvature (4/9) * c_infection does not
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), [("mask", "c_infection", "1e308")])
+    for flags in ([], ["--verify"]):
+        code, out, err = run_cli(capsys, "mask-efficiency", "--scenario", path, *flags)
+        assert (code, err) == (0, "")
+        assert dict(line.split(None, 1) for line in out.splitlines())["second_derivative"] == "4.444444e+307"
+
+
+def test_mask_bayesian_price_threshold_lies_above_c_use_when_wearing(tmp_path, capsys):
+    # the ratio times c_infection, each rounded, gives c_use itself
+    edits = [("bayesian", "rho", "0.23433096104669637"), ("bayesian", "p1", "0.9956448355104628"),
+             ("mask", "c_use", "3.7160490455642816"), ("mask", "c_infection", "4755.608724472235")]
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    code, out, err = run_cli(
+        capsys, "mask-bayesian", "--scenario", path, "--format", "csv", "--precision", "17", "--verify"
+    )
+    assert (code, err) == (0, "")
+    header, row = parse_csv(out)
+    cells = dict(zip(header, row))
+    assert cells["decision"] == "wear" and float(cells["threshold"]) > float(cells["c_use"])
+
+
+@st.composite
+def _mask_inputs(draw):
+    """(a, b, c_use, c_infection, rho, p1), c_use often on or within 2 ulps of a tie."""
+    a = draw(st.floats(0, 1))
+    b = draw(st.one_of(st.floats(a, 1), st.sampled_from([a, 1.0])))
+    rho, p1 = draw(st.floats(0, 1)), draw(st.floats(0, 1))
+    c_infection = draw(st.floats(1e-300, sys.float_info.max / 4))
+    tie = draw(st.sampled_from(["none", "flat", "stationary_at_0", "stationary_at_1", "bayesian"]))
+    if tie == "none":
+        c_use = draw(st.floats(0, c_infection, exclude_min=True, exclude_max=True))
+    else:
+        if tie == "flat":
+            b = 1.0
+        fa, fb, fi, fr = Fraction(a), Fraction(b), Fraction(c_infection), Fraction(rho)
+        c_use = float({
+            "flat": fi * (1 - fa),
+            "stationary_at_0": fi * (2 - fa - fb),
+            "stationary_at_1": fi * (fa + fb - 2 * fa * fb),
+            "bayesian": fr * (1 - fr) * (1 - Fraction(p1)) * fi,
+        }[tie])
+        for _ in range(draw(st.integers(0, 2))):
+            c_use = math.nextafter(c_use, draw(st.sampled_from([0.0, math.inf])))
+    assume(0 < c_use < c_infection)
+    return a, b, c_use, c_infection, rho, p1
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@example((0.5, 1.0, 500.0, 1000.0, 0.5, 0.5))  # a flat efficiency cost
+@example((1 / 3, 2 / 3, 125.0, 1000.0, 0.5, 0.5))  # c_use at the Bayesian price threshold
+@given(_mask_inputs())
+def test_mask_verification_passes_on_every_valid_input(inputs):
+    a, b, c_use, c_infection, rho, p1 = inputs
+    text = (
+        f"[mask]\nc_out = {c_infection / 4!r}\nc_in = {c_infection / 2!r}\nc_use = {c_use!r}\n"
+        f"c_infection = {c_infection!r}\na = {a!r}\nb = {b!r}\n\n[bayesian]\nrho = {rho!r}\np1 = {p1!r}\n"
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "mask.ini"
+        path.write_text(text, encoding="utf-8")
+        for command in ("mask-efficiency", "mask-bayesian"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run([command, "--scenario", str(path), "--verify"])
+            assert (code, err.getvalue()) == (0, ""), command
 
 
 @pytest.mark.parametrize(
@@ -639,6 +707,11 @@ def test_endless_device_exits_one_after_reading_past_the_cap(capsys):
     [
         # b = 1 makes the cost affine in p: curvature 0, and finite differences show only rounding
         pytest.param("mask-efficiency", [("mask", "b", "1")], id="affine-efficiency-cost"),
+        # b = 1 and c_use = c_infection * (1 - a): every p costs exactly c_infection
+        pytest.param(
+            "mask-efficiency", [("mask", "a", "0.5"), ("mask", "b", "1"), ("mask", "c_use", "500")],
+            id="flat-efficiency-cost",
+        ),
         # costs near 1e15 round by more than any fixed absolute tolerance
         pytest.param(
             "mask-bayesian",

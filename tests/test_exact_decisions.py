@@ -5,7 +5,7 @@ import math
 import sys
 from fractions import Fraction
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import mask_costs_with_gaps, probabilities
 from epigames import (
@@ -92,8 +92,9 @@ def test_near_ties_fall_on_the_side_of_the_exact_inputs():
     a, b, c_use = 0.43, 0.48, 497.2
     fa, fb = Fraction(a), Fraction(b)
     assert (2 - fa - fb) * 1000 - Fraction(c_use) >= 2 * 1000 * (1 - fa) * (1 - fb)
+    assert (2 * 1000 - 1000 * (a + b) - c_use) / (2 * 1000 * (1 - a) * (1 - b)) < 1
     analysis = efficiency_analysis(EfficiencyParams(a, b), BASELINE.replace(c_use=c_use))
-    assert analysis.stationary_p < 1 and analysis.best_p == 1.0
+    assert analysis.stationary_p >= 1 and analysis.best_p == 1.0
 
     # with b = 1 the cost is affine, falling in p by a margin its float slope rounds to 0
     a, c_use = 0.62, 379.99999999999994
@@ -162,6 +163,63 @@ def test_mask_thresholds_are_their_exact_ratios_rounded_once(setting, eff):
     assert bayesian.threshold == float(rho * (1 - rho) * (1 - p1))
     efficiency = efficiency_analysis(eff, BASELINE)
     assert efficiency.use_beats_no_threshold == float(1 - Fraction(eff.a) * Fraction(eff.b))
+
+
+def test_bayesian_price_threshold_is_rounded_once():
+    # the ratio times c_infection, each rounded, gives c_use itself; the exact price is above it
+    setting = BayesianSetting(0.23433096104669637, 0.9956448355104628)
+    costs = MaskCosts(1.0, 10.0, 3.7160490455642816, 4755.608724472235)
+    condition = bayesian_mask_condition(setting, costs)
+    assert condition.threshold * costs.c_infection == costs.c_use
+    assert condition.wear and condition.price_threshold > costs.c_use
+    rho, p1 = Fraction(setting.rho), Fraction(setting.p1)
+    assert condition.price_threshold == float(rho * (1 - rho) * (1 - p1) * Fraction(costs.c_infection))
+
+
+@st.composite
+def _efficiency_near_edges(draw):
+    """Efficiency inputs, with c_use often within 2 ulps of where the stationary point is 0 or 1."""
+    a = draw(st.floats(0, 1))
+    b = draw(st.one_of(st.floats(a, 1), st.sampled_from([a, 1.0])))
+    c_infection = draw(st.floats(1e-300, 1e300))
+    edge = draw(st.sampled_from([None, 0, 1]))
+    if edge is None:
+        c_use = draw(st.floats(0, c_infection, exclude_max=True))
+    else:
+        fa, fb, fi = Fraction(a), Fraction(b), Fraction(c_infection)
+        c_use = float(fi * (2 - fa - fb) - edge * 2 * fi * (1 - fa) * (1 - fb))
+        for _ in range(draw(st.integers(0, 2))):
+            c_use = math.nextafter(c_use, draw(st.sampled_from([0.0, math.inf])))
+    assume(0 <= c_use < c_infection)
+    return EfficiencyParams(a, b), MaskCosts(c_infection / 4, c_infection / 2, c_use, c_infection)
+
+
+@settings(max_examples=300, deadline=None)
+@example((EfficiencyParams(0.43, 0.48), BASELINE.replace(c_use=497.2)))
+@example((EfficiencyParams(0.5, 1.0), BASELINE.replace(c_use=500.0)))  # flat
+@given(_efficiency_near_edges())
+def test_efficiency_numbers_are_the_exact_quantities_rounded_once(inputs):
+    eff, costs = inputs
+    fa, fb = Fraction(eff.a), Fraction(eff.b)
+    fu, fi = Fraction(costs.c_use), Fraction(costs.c_infection)
+    curvature = 2 * fi * (1 - fa) * (1 - fb)
+    pull = fi * (2 - fa - fb) - fu
+    analysis = efficiency_analysis(eff, costs)
+    assert analysis.second_derivative == float(curvature)
+    assert analysis.degenerate == (curvature == 0)
+    if curvature == 0:
+        assert analysis.stationary_p is None
+        assert analysis.best_p == (1.0 if pull > 0 else 0.0)
+        return
+    exact = pull / curvature
+    assert analysis.stationary_p == float(exact)
+    # an endpoint by the exact side; inside, the stationary point's double (1.0 only by rounding)
+    if exact <= 0:
+        assert analysis.best_p == 0.0
+    elif exact >= 1:
+        assert analysis.best_p == 1.0
+    else:
+        assert analysis.best_p == analysis.stationary_p and 0 < analysis.best_p <= 1
 
 
 def test_multiplayer_condition_is_decided_on_the_exact_inputs():
