@@ -217,7 +217,7 @@ def _cmd_mask_bayesian(config: ScenarioConfig, opts: ReportOptions) -> str:
         mismatches = []
         exact_setting, exact_costs = _exact(setting), _exact(costs)
         if not oracle.check_affine(
-            lambda p2: bayesian_expected_cost(exact_setting, p2, exact_costs), 0, Fraction(37, 100), 1, 0
+            lambda p2: bayesian_expected_cost(exact_setting, p2, exact_costs), 0, Fraction(37, 100), 1
         ):
             mismatches.append("expected cost is not affine in the wearing probability")
         exact_no, exact_use = (bayesian_expected_cost(exact_setting, p2, exact_costs) for p2 in (0, 1))
@@ -325,18 +325,18 @@ def _cmd_meeting_opt(config: ScenarioConfig, opts: ReportOptions) -> str:
 
     if opts.verify:
         mismatches = []
+        # the kernel repeats z_objective's float operations, so both sides round alike
+        if z_objective(optimum.z_star, benefit_fn, cost_fn, rho, mortality) != optimum.value:
+            mismatches.append(f"optimum value disagrees with the objective at z={optimum.z_star}")
         grid = oracle.grid_argmin(
             lambda z: -z_objective(z, benefit_fn, cost_fn, rho, mortality),
             domain.z_min,
             domain.z_max,
             domain.grid_steps + 1,
         )
-        step = (domain.z_max - domain.z_min) / domain.grid_steps
-        if abs(grid.x_star - optimum.z_star) > step * (1 + 1e-9):
-            mismatches.append(
-                f"optimal z {optimum.z_star} is more than one grid step from {grid.x_star}"
-            )
-        if optimum.value < -grid.f_star - 1e-9 * max(1.0, abs(grid.f_star)):
+        if not domain.z_min <= optimum.z_star <= domain.z_max:
+            mismatches.append(f"optimal z {optimum.z_star} lies outside the window")
+        if optimum.value < -grid.f_star:
             mismatches.append("optimum value does not dominate the sampled grid")
         _fail_verify(mismatches)
 
@@ -365,12 +365,13 @@ def _cmd_curves(config: ScenarioConfig, opts: ReportOptions) -> str:
         mismatches = []
         for z, value in series:
             # same objective through the group-meeting composition; no risk, no bound
+            # equal bit for bit: the kernel computes B(z) + C(z) and -expm1(z·log1p(-rho))·m alike, and z·1.0 == z
             risk = (
                 group_infection_probability(params.infection_prob, GroupMeeting(z, 1.0))
                 * params.mortality
             )
             composed = (benefit_fn(z) + cost_fn(z)) / risk if risk else math.inf
-            if not math.isclose(value, composed, rel_tol=1e-12, abs_tol=1e-12):
+            if value != composed:
                 mismatches.append(f"objective at z={z} disagrees with composed form")
                 break
         _fail_verify(mismatches)

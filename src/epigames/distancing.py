@@ -154,9 +154,6 @@ class GroupMeeting(Value):
     def z(self) -> float:
         return self.group_size * self.duration
 
-    def within(self, domain: MeetingDomain) -> bool:
-        return domain.z_min <= self.z <= domain.z_max
-
 
 def distancing_utility(p: float, params: DistancingParams) -> float:
     """Utility of going out with probability p; affine in p."""

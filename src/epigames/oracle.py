@@ -7,6 +7,7 @@ paths at runtime via ``--verify``.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
@@ -67,11 +68,11 @@ def grid_argmin(fn: Callable[[float], float], lo: float, hi: float, steps: int) 
 
 
 def check_affine(
-    fn: Callable[[float], float], x1: float, x2: float, x3: float, tol: float
+    fn: Callable[[Fraction], Fraction], x1: Fraction, x2: Fraction, x3: Fraction
 ) -> bool:
-    """True iff the three sampled points are collinear within ``tol`` (exactly, on Fractions at 0)."""
+    """True iff the three sampled points lie exactly on one line; on Fractions nothing rounds."""
     if len({x1, x2, x3}) != 3:
         raise ValueError(f"sample points must be distinct, got {(x1, x2, x3)!r}")
     f1, f2, f3 = fn(x1), fn(x2), fn(x3)
     predicted = f1 + (f3 - f1) * (x2 - x1) / (x3 - x1)
-    return abs(f2 - predicted) <= tol
+    return f2 == predicted

@@ -21,8 +21,8 @@ def mask_costs_with_gaps(draw):
 
     The solvers compare costs exactly, so the strict orderings alone keep the
     equilibrium sets unique.  The gaps and the bounded magnitudes keep the
-    float checks some tests make, such as ``check_affine`` within 1e-9, well
-    inside their allowance.
+    float checks some tests make, such as the second difference within
+    1e-6, well inside their allowance.
     """
     c_out = draw(st.floats(0.01, 20))
     c_in = c_out + draw(st.floats(0.01, 50))

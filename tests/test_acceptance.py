@@ -5,6 +5,7 @@ criterion; any failure surfaces as a normal pytest failure.
 """
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,15 +88,13 @@ def test_criterion_2_bayesian_threshold_flips_at_125():
 def test_criterion_3_expected_cost_is_affine_in_p2():
     rng = random.Random(20200903)
     for _ in range(1000):
-        setting = BayesianSetting(rng.random(), rng.random())
+        setting = cli._exact(BayesianSetting(rng.random(), rng.random()))
         c_infection = rng.uniform(1.0, 10_000.0)
         c_use = rng.uniform(1e-6, c_infection * 0.999)
-        costs = MaskCosts(
-            c_infection * 1e-4, c_infection * 1e-3, c_use, c_infection
-        )
-        mid = rng.uniform(0.05, 0.95)
+        costs = cli._exact(MaskCosts(c_infection * 1e-4, c_infection * 1e-3, c_use, c_infection))
+        mid = Fraction(rng.uniform(0.05, 0.95))
         assert oracle.check_affine(
-            lambda p2: bayesian_expected_cost(setting, p2, costs), 0.0, mid, 1.0, 1e-9
+            lambda p2: bayesian_expected_cost(setting, p2, costs), Fraction(0), mid, Fraction(1)
         )
     report(3, "expected cost stayed affine in p2 across 1000 random draws")
 

@@ -19,8 +19,14 @@ from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_PARAMS
-from epigames import cli, oracle, pair_game, parse_scenario, solve
-from epigames.distancing import MAX_GRID_STEPS, MeetingDomain
+from epigames import cli, distancing, oracle, pair_game, parse_scenario, solve
+from epigames.distancing import (
+    MAX_GRID_STEPS,
+    MeetingDomain,
+    MeetingOptimum,
+    optimal_meeting,
+    z_objective,
+)
 from epigames.policy import POLICY_PARAMS, compare_policies
 from epigames.scenario import MAX_SCENARIO_BYTES, _SECTIONS
 
@@ -732,6 +738,88 @@ def test_verify_tolerates_rounding(tmp_path, capsys, command, edits):
     path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
     code, out, err = run_cli(capsys, command, "--scenario", path, "--verify")
     assert (code, err) == (0, "")
+
+
+def test_curves_verify_rejects_one_value_one_ulp_off(capsys, monkeypatch):
+    kernel = distancing.objective_values
+
+    def nudged(zs, *args):
+        values = kernel(zs, *args)
+        middle = len(values) // 2
+        values[middle] = math.nextafter(values[middle], math.inf)
+        return values
+
+    monkeypatch.setattr(distancing, "objective_values", nudged)
+    code, out, err = run_cli(capsys, "curves", "--scenario", str(BASELINE_FILE), "--verify")
+    assert (code, out) == (3, "") and "disagrees with composed form" in err
+
+
+def _value_one_ulp_low(*args):
+    optimum = optimal_meeting(*args)
+    return MeetingOptimum(optimum.z_star, math.nextafter(optimum.value, -math.inf))
+
+
+def _next_grid_point(benefit_fn, cost_fn, rho, m, domain):
+    points = domain.grid()
+    z = points[points.index(optimal_meeting(benefit_fn, cost_fn, rho, m, domain).z_star) + 1]
+    return MeetingOptimum(z, z_objective(z, benefit_fn, cost_fn, rho, m))
+
+
+@pytest.mark.parametrize(
+    "misreport, message",
+    [
+        pytest.param(_value_one_ulp_low, "optimum value disagrees with the objective", id="value-one-ulp-low"),
+        pytest.param(_next_grid_point, "optimum value does not dominate the sampled grid", id="next-grid-point"),
+    ],
+)
+def test_meeting_opt_verify_rejects_a_misreported_optimum(capsys, monkeypatch, misreport, message):
+    monkeypatch.setattr(cli, "optimal_meeting", misreport)
+    code, out, err = run_cli(capsys, "meeting-opt", "--scenario", str(BASELINE_FILE), "--verify")
+    assert (code, out) == (3, "") and message in err
+
+
+def _cost_benefit_texts():
+    """A constant or linear function's text, with a zero intercept often."""
+    coefficient = st.one_of(st.just(0.0), st.floats(0, 1e6))
+    return st.one_of(
+        st.builds("constant:{!r}".format, coefficient),
+        st.builds("linear:{!r},{!r}".format, coefficient, st.one_of(st.just(0.0), coefficient)),
+    )
+
+
+@st.composite
+def _meeting_scenarios(draw):
+    """(rho, m, z_min, z_max, grid_steps, benefit, cost): extreme risks, windows down to 1e-14 wide."""
+    rho = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 1.0]), st.floats(0, 1)))
+    m = draw(st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0, 1)))
+    z_min = draw(st.floats(1e-3, 99))
+    z_max = min(100.0, z_min * (1 + draw(st.one_of(st.floats(1e-14, 1e-6), st.floats(1e-6, 1e3)))))
+    assume(z_min < z_max)
+    steps = draw(st.integers(1, 10_000))
+    return rho, m, z_min, z_max, steps, draw(_cost_benefit_texts()), draw(_cost_benefit_texts())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+# a window flat to below one ulp per step, where the scan's tie rule picks an inner point
+@example((1.0, 1.0, 91.9375, 92.0, 121, "constant:0", "linear:1e-9,4096"))
+@given(_meeting_scenarios())
+def test_meeting_verification_passes_on_every_valid_scenario(scenario):
+    rho, m, z_min, z_max, steps, benefit, cost = scenario
+    text = (
+        f"[distancing]\nB = 1\nC = 1\nm = {m!r}\nL = 1000\nrho = {rho!r}\n\n"
+        f"[functions]\nbenefit = {benefit}\ncost = {cost}\n\n"
+        f"[meeting]\nz_min = {z_min!r}\nz_max = {z_max!r}\ngrid_steps = {steps}\n"
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "meeting.ini"
+        path.write_text(text, encoding="utf-8")
+        for command in ("meeting-opt", "curves"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run([command, "--scenario", str(path), "--verify"])
+            event(f"{command} exits {code}")
+            # a risk too small to register at z_min is a domain error, never a mismatch
+            assert code == 0 or (code == 2 and "domain error" in err.getvalue()), (command, err.getvalue())
 
 
 def test_policy_warnings_go_to_stderr_in_input_order(tmp_path, capsys):

@@ -508,11 +508,6 @@ class TestInputTypes:
         with pytest.raises(ValueError, match="positive"):
             GroupMeeting(0, 1)
 
-    def test_group_meeting_domain_membership(self):
-        domain = MeetingDomain(1, 10, 10)
-        assert GroupMeeting(2, 3).within(domain)
-        assert not GroupMeeting(4, 3).within(domain)
-
     def test_cost_benefit_function_validation(self):
         with pytest.raises(ValueError, match="kind"):
             CostBenefitFunction("quadratic", 1, 1)

@@ -16,6 +16,7 @@ from epigames import (
     bayesian_best_p2,
     bayesian_expected_cost,
     bayesian_mask_condition,
+    cli,
     efficiency_analysis,
     efficiency_expected_cost,
     multiplayer_equilibrium,
@@ -106,9 +107,9 @@ class TestBayesianExpectedCost:
 
     @given(probabilities(), probabilities(), mask_costs_with_gaps())
     def test_cost_is_affine_in_own_probability(self, rho, p1, costs):
-        setting = BayesianSetting(rho, p1)
+        setting, costs = cli._exact(BayesianSetting(rho, p1)), cli._exact(costs)
         assert oracle.check_affine(
-            lambda p2: bayesian_expected_cost(setting, p2, costs), 0.0, 0.37, 1.0, 1e-9
+            lambda p2: bayesian_expected_cost(setting, p2, costs), Fraction(0), Fraction(37, 100), Fraction(1)
         )
 
 

@@ -1,6 +1,7 @@
 """Tests for the brute-force verifiers themselves."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -71,14 +72,20 @@ class TestGridArgmin:
 
 class TestCheckAffine:
     def test_straight_line_passes(self):
-        assert oracle.check_affine(lambda x: 3 * x - 2, 0.0, 0.4, 1.0, 1e-9)
+        assert oracle.check_affine(lambda x: 3 * x - 2, Fraction(0), Fraction(2, 5), Fraction(1))
 
     def test_constant_passes(self):
-        assert oracle.check_affine(lambda x: 7.0, -1.0, 0.0, 2.0, 1e-9)
+        assert oracle.check_affine(lambda x: Fraction(7), Fraction(-1), Fraction(0), Fraction(2))
 
     def test_parabola_fails(self):
-        assert not oracle.check_affine(lambda x: x * x, 0.0, 0.5, 1.0, 1e-9)
+        assert not oracle.check_affine(lambda x: x * x, Fraction(0), Fraction(1, 2), Fraction(1))
+
+    def test_line_one_ulp_off_at_its_midpoint_fails(self):
+        def line(x):
+            return Fraction(math.nextafter(0.5, 1.0)) if x == Fraction(1, 2) else x
+
+        assert not oracle.check_affine(line, Fraction(0), Fraction(1, 2), Fraction(1))
 
     def test_sample_points_must_be_distinct(self):
         with pytest.raises(ValueError, match="distinct"):
-            oracle.check_affine(lambda x: x, 0.0, 0.0, 1.0, 1e-9)
+            oracle.check_affine(lambda x: x, Fraction(0), Fraction(0), Fraction(1))
