@@ -64,26 +64,27 @@ class ReportOptions(Value):
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors are invocation failures, not domain errors: exit 1, not 2
+    # usage errors are invocation failures, not domain errors: exit 1, not 2, in one line
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    width = max(map(len, _COMMANDS)) + 2
+    table = "".join(f"    {name:<{width}}{descr}\n" for name, (descr, _) in _COMMANDS.items())
     parser = _Parser(
         prog="epigames",
         description="Pandemic decision games: mask/distancing analyses and policy ranking.",
+        epilog="commands:\n" + table,
+        formatter_class=argparse.RawDescriptionHelpFormatter,  # keeps the table's line breaks
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (descr, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=descr)
-        p.add_argument("--scenario", required=True, help="path to the scenario file")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("table", "csv"), default="table")
-        p.add_argument("--grid-steps", type=int, default=None, metavar="N")
-        p.add_argument("--verify", action="store_true", help="cross-check against brute force")
-        p.add_argument("--precision", type=int, default=6, metavar="D")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("--scenario", required=True, help="path to the scenario file")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("table", "csv"), default="table")
+    parser.add_argument("--grid-steps", type=int, default=None, metavar="N")
+    parser.add_argument("--verify", action="store_true", help="cross-check against brute force")
+    parser.add_argument("--precision", type=int, default=6, metavar="D")
     return parser
 
 

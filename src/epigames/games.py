@@ -139,14 +139,6 @@ def best_responses(game: CostTable, player: int, opponent_action: int) -> list[i
     return [a for a, c in enumerate(own) if c == floor]
 
 
-def is_pure_nash(game: CostTable, profile: StrategyProfile) -> bool:
-    """True iff both actions are best responses to each other."""
-    i, j = profile
-    if not (0 <= i < game.n1 and 0 <= j < game.n2):
-        raise ValueError(f"profile {profile!r} out of range for {game.n1}x{game.n2} game")
-    return i in best_responses(game, 1, j) and j in best_responses(game, 2, i)
-
-
 def pure_nash_equilibria(game: CostTable) -> list[StrategyProfile]:
     """All profiles where no unilateral deviation lowers own cost."""
     br1 = [set(best_responses(game, 1, j)) for j in range(game.n2)]

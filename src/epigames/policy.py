@@ -81,8 +81,8 @@ def _check_params(kind: str, given: Collection[str]) -> None:
 class Policy(Value):
     """One government policy with its parameters.
 
-    Exactly the parameters belonging to ``kind`` may be set; use the
-    factory classmethods or ``parse`` rather than the raw constructor.
+    Exactly the parameters belonging to ``kind`` (``POLICY_PARAMS``) may be
+    set, by keyword: ``Policy(FREE_MASKS, subsidy=50.0)``, or through ``parse``.
     """
 
     kind: str
@@ -121,34 +121,6 @@ class Policy(Value):
             except ValueError:
                 raise ValueError(f"expected a number for {name}, got {echo(raw)}") from None
         return cls(kind, **params)
-
-    @classmethod
-    def mask_mandate(cls) -> "Policy":
-        return cls(MASK_MANDATE)
-
-    @classmethod
-    def free_masks(cls, subsidy: float) -> "Policy":
-        return cls(FREE_MASKS, subsidy=float(subsidy))
-
-    @classmethod
-    def gathering_cap(cls, limit: int) -> "Policy":
-        return cls(GATHERING_CAP, limit=limit)
-
-    @classmethod
-    def lockdown(cls) -> "Policy":
-        return cls(LOCKDOWN)
-
-    @classmethod
-    def mass_testing(cls, per_test_cost: float) -> "Policy":
-        return cls(MASS_TESTING, per_test_cost=float(per_test_cost))
-
-    @classmethod
-    def targeted_testing(cls, per_test_cost: float, traced_fraction: float) -> "Policy":
-        return cls(
-            TARGETED_TESTING,
-            per_test_cost=float(per_test_cost),
-            traced_fraction=float(traced_fraction),
-        )
 
     def describe(self) -> str:
         params = ";".join(f"{name}={getattr(self, name):g}" for name in POLICY_PARAMS[self.kind])

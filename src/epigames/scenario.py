@@ -208,7 +208,8 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     the reader names the file's section and keys in their errors.
     """
     lines = _read_lines(path)
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header line can name the section "\n", so [DEFAULT] is a section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str  # keys such as B, C, L are case-sensitive
     try:
         parser.read_file(lines, source=str(path))

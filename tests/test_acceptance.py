@@ -217,7 +217,7 @@ def test_criterion_9_policy_layer_guarantees():
     model = DesignerCostModel(10_000, 1.0, 1.0)
 
     # mandate: the restricted two-susceptible game has the unique outcome (out, out)
-    mandated = apply_policy(scenario, Policy.mask_mandate())
+    mandated = apply_policy(scenario, Policy("mask_mandate"))
     game = restrict(pair_game(S, S, mandated.mask_costs), ["out"], ["out"])
     equilibria = pure_nash_equilibria(game)
     assert [game.profile_labels(p) for p in equilibria] == [("out", "out")]
@@ -238,20 +238,20 @@ def test_criterion_9_policy_layer_guarantees():
                 meeting_domain=scenario.meeting_domain,
                 population=scenario.population,
             ),
-            Policy.free_masks(scenario.mask_costs.c_use),
+            Policy("free_masks", subsidy=scenario.mask_costs.c_use),
         )
         if risky:
             assert bayesian_best_p2(setting, subsidized.mask_costs) == 1.0
 
     # a gathering cap never lets the reported group size exceed the limit
     for limit in (1, 3, 10, 50):
-        capped = evaluate_mechanism(scenario, [Policy.gathering_cap(limit)], model)
+        capped = evaluate_mechanism(scenario, [Policy("gathering_cap", limit=limit)], model)
         outcome = capped.citizen_outcome
         if outcome.decision is Decision.GO:
             assert outcome.group_size <= limit
 
     # lockdown removes all expected infections
-    locked = evaluate_mechanism(scenario, [Policy.lockdown()], model)
+    locked = evaluate_mechanism(scenario, [Policy("lockdown")], model)
     assert locked.expected_infections == 0.0
 
     # targeted testing costs exactly the traced share of mass testing
@@ -259,9 +259,9 @@ def test_criterion_9_policy_layer_guarantees():
         population = rng.randrange(2, 10_000)
         per_test = rng.uniform(0, 500)
         fraction = rng.random()
-        mass = compute_testing_outlay([Policy.mass_testing(per_test)], population)
+        mass = compute_testing_outlay([Policy("mass_testing", per_test_cost=per_test)], population)
         targeted = compute_testing_outlay(
-            [Policy.targeted_testing(per_test, fraction)], population
+            [Policy("targeted_testing", per_test_cost=per_test, traced_fraction=fraction)], population
         )
         assert targeted == fraction * mass
     report(9, "mandate, subsidy, cap, lockdown, and testing guarantees all hold")

@@ -241,8 +241,36 @@ class TestCommandTable:
             cli.run(["--help"])
         assert exit_info.value.code == 0
         # subcommands are indented four spaces; wrapped help lines further
-        names = re.findall(r"^ {4}(\S+)", capsys.readouterr().out, re.MULTILINE)
-        assert tuple(names) == cli.SUBCOMMANDS
+        listed = re.findall(r"^ {4}(\S+) +(.+)$", capsys.readouterr().out, re.MULTILINE)
+        assert listed == [(name, descr) for name, (descr, _) in cli._COMMANDS.items()]
+
+    @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+    def test_options_parse_alike_before_and_after_the_command(self, command):
+        options = ["--scenario", "s.ini", "--out", "r.csv", "--format", "csv",
+                   "--grid-steps", "40", "--verify", "--precision", "3"]
+        parser = cli.build_parser()
+        after = parser.parse_args([command, *options])
+        assert parser.parse_args([*options, command]) == after
+        assert (after.command, after.scenario, after.grid_steps, after.precision) == (command, "s.ini", 40, 3)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nope", "--scenario", "s.ini"],
+            ["curves"],
+            ["curves", "--scenario", "s.ini", "--format", "xml"],
+            ["curves", "--scenario", "s.ini", "--precision", "abc"],
+        ],
+        ids=["no-arguments", "unknown-command", "no-scenario", "format-xml", "precision-abc"],
+    )
+    def test_usage_error_exits_one_with_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 1 and captured.out == ""
+        # argparse words the message differently from one Python version to the next
+        assert captured.err.count("\n") == 1 and captured.err.startswith("epigames: error: ")
 
 
 def _non_finite_cases():

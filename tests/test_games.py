@@ -9,7 +9,6 @@ from epigames import (
     StrategyProfile,
     best_responses,
     dominant_actions,
-    is_pure_nash,
     oracle,
     pure_nash_equilibria,
     restrict,
@@ -112,16 +111,6 @@ class TestPureNash:
     def test_single_profile_game_is_trivially_stable(self):
         assert pure_nash_equilibria(SINGLE) == [StrategyProfile(0, 0)]
 
-    def test_is_pure_nash_matches_named_profiles(self):
-        assert is_pure_nash(BOTH_SUSCEPTIBLE, StrategyProfile(0, 0))
-        # the susceptible player would deviate to the protective mask (10 < 1000)
-        assert not is_pure_nash(ONE_INFECTED, StrategyProfile(0, 0))
-        assert is_pure_nash(SINGLE, StrategyProfile(0, 0))
-
-    def test_is_pure_nash_rejects_out_of_range_profiles(self):
-        with pytest.raises(ValueError, match="out of range"):
-            is_pure_nash(SINGLE, StrategyProfile(1, 0))
-
 
 class TestSocialOptima:
     def test_both_susceptible_socially_optimal_maskless(self):
@@ -188,8 +177,9 @@ def test_equilibria_agree_with_exhaustive_enumeration(game):
 @given(small_cost_tables())
 def test_equilibria_are_sound_and_complete(game):
     reported = set(pure_nash_equilibria(game))
-    for profile in game.profiles():
-        assert (profile in reported) == is_pure_nash(game, profile)
+    for i, j in game.profiles():
+        stable = i in best_responses(game, 1, j) and j in best_responses(game, 2, i)
+        assert ((i, j) in reported) == stable
 
 
 @given(small_cost_tables())

@@ -60,21 +60,21 @@ _PARAM_VALUES = {
 
 
 class TestPolicyType:
-    def test_factories_build_valid_policies(self):
-        assert Policy.mask_mandate().kind == "mask_mandate"
-        assert Policy.free_masks(5).subsidy == 5.0
-        assert Policy.gathering_cap(10).limit == 10
-        assert Policy.targeted_testing(5, 0.1).traced_fraction == 0.1
+    def test_constructor_builds_valid_policies(self):
+        assert Policy("mask_mandate").kind == "mask_mandate"
+        assert Policy("free_masks", subsidy=5.0).subsidy == 5.0
+        assert Policy("gathering_cap", limit=10).limit == 10
+        assert Policy("targeted_testing", per_test_cost=5.0, traced_fraction=0.1).traced_fraction == 0.1
 
     def test_parameter_ranges_enforced(self):
         with pytest.raises(ValueError, match="subsidy"):
-            Policy.free_masks(-1)
+            Policy("free_masks", subsidy=-1.0)
         with pytest.raises(ValueError, match="positive"):
-            Policy.gathering_cap(0)
+            Policy("gathering_cap", limit=0)
         with pytest.raises(ValueError, match="integer"):
             Policy("gathering_cap", limit=2.5)
         with pytest.raises(ValueError, match="traced_fraction"):
-            Policy.targeted_testing(5, 1.5)
+            Policy("targeted_testing", per_test_cost=5.0, traced_fraction=1.5)
 
     def test_stray_parameters_rejected(self):
         with pytest.raises(ValueError, match="does not take"):
@@ -87,9 +87,9 @@ class TestPolicyType:
             Policy("curfew")
 
     def test_describe_is_compact(self):
-        assert Policy.mask_mandate().describe() == "mask_mandate"
-        assert Policy.free_masks(50).describe() == "free_masks(subsidy=50)"
-        described = Policy.targeted_testing(5, 0.1).describe()
+        assert Policy("mask_mandate").describe() == "mask_mandate"
+        assert Policy("free_masks", subsidy=50.0).describe() == "free_masks(subsidy=50)"
+        described = Policy("targeted_testing", per_test_cost=5.0, traced_fraction=0.1).describe()
         assert described == "targeted_testing(per_test_cost=5;traced_fraction=0.1)"
 
     def test_kinds_are_the_parameter_table_keys(self):
@@ -132,12 +132,12 @@ class TestApplyPolicy:
     def test_every_policy_is_annotation_monotone(self):
         scenario = make_scenario()
         policies = [
-            Policy.mask_mandate(),
-            Policy.free_masks(5),
-            Policy.gathering_cap(10),
-            Policy.lockdown(),
-            Policy.mass_testing(5),
-            Policy.targeted_testing(5, 0.2),
+            Policy("mask_mandate"),
+            Policy("free_masks", subsidy=5.0),
+            Policy("gathering_cap", limit=10),
+            Policy("lockdown"),
+            Policy("mass_testing", per_test_cost=5.0),
+            Policy("targeted_testing", per_test_cost=5.0, traced_fraction=0.2),
         ]
         touched = {
             "mask_mandate": {"mask_mandate"},
@@ -159,10 +159,10 @@ class TestApplyPolicy:
 
     def test_zero_subsidy_is_identity_on_costs(self):
         scenario = make_scenario()
-        assert apply_policy(scenario, Policy.free_masks(0)).mask_costs == scenario.mask_costs
+        assert apply_policy(scenario, Policy("free_masks", subsidy=0.0)).mask_costs == scenario.mask_costs
 
     def test_subsidy_clamps_prices_at_zero(self):
-        transformed = apply_policy(make_scenario(), Policy.free_masks(100))
+        transformed = apply_policy(make_scenario(), Policy("free_masks", subsidy=100.0))
         assert transformed.mask_costs.c_use == 0.0
         assert transformed.mask_costs.c_out == 0.0
         assert transformed.mask_costs.c_in == 10.0
@@ -170,12 +170,12 @@ class TestApplyPolicy:
     @given(probabilities(), probabilities())
     def test_full_subsidy_makes_wearing_optimal_whenever_risky(self, rho, p1):
         scenario = make_scenario(bayesian=BayesianSetting(rho, p1))
-        transformed = apply_policy(scenario, Policy.free_masks(scenario.mask_costs.c_use))
+        transformed = apply_policy(scenario, Policy("free_masks", subsidy=scenario.mask_costs.c_use))
         if rho * (1 - rho) * (1 - p1) > 0:
             assert bayesian_best_p2(transformed.bayesian, transformed.mask_costs) == 1.0
 
     def test_mandate_restricts_the_pair_game_to_out(self):
-        scenario = apply_policy(make_scenario(), Policy.mask_mandate())
+        scenario = apply_policy(make_scenario(), Policy("mask_mandate"))
         assert scenario.mask_mandate
         game = restrict(pair_game(S, S, scenario.mask_costs), ["out"], ["out"])
         equilibria = pure_nash_equilibria(game)
@@ -183,16 +183,16 @@ class TestApplyPolicy:
         assert game.profile_labels(equilibria[0]) == ("out", "out")
 
     def test_stacked_caps_keep_the_stricter_limit(self):
-        scenario = apply_policy(make_scenario(), Policy.gathering_cap(10))
-        scenario = apply_policy(scenario, Policy.gathering_cap(25))
+        scenario = apply_policy(make_scenario(), Policy("gathering_cap", limit=10))
+        scenario = apply_policy(scenario, Policy("gathering_cap", limit=25))
         assert scenario.gathering_limit == 10
 
     def test_lockdown_and_cap_warn_in_either_order(self):
         first = apply_policy(
-            apply_policy(make_scenario(), Policy.lockdown()), Policy.gathering_cap(5)
+            apply_policy(make_scenario(), Policy("lockdown")), Policy("gathering_cap", limit=5)
         )
         second = apply_policy(
-            apply_policy(make_scenario(), Policy.gathering_cap(5)), Policy.lockdown()
+            apply_policy(make_scenario(), Policy("gathering_cap", limit=5)), Policy("lockdown")
         )
         for scenario in (first, second):
             assert scenario.lockdown and scenario.gathering_limit == 5
@@ -200,31 +200,35 @@ class TestApplyPolicy:
             assert "stricter policy wins" in scenario.warnings[0]
 
     def test_testing_policies_reveal_statuses(self):
-        assert apply_policy(make_scenario(), Policy.mass_testing(5)).revealed_fraction == 1.0
-        traced = apply_policy(make_scenario(), Policy.targeted_testing(5, 0.3))
+        mass = Policy("mass_testing", per_test_cost=5.0)
+        assert apply_policy(make_scenario(), mass).revealed_fraction == 1.0
+        targeted = Policy("targeted_testing", per_test_cost=5.0, traced_fraction=0.3)
+        traced = apply_policy(make_scenario(), targeted)
         assert traced.revealed_fraction == 0.3
 
 
 class TestTestingOutlay:
     def test_mass_testing_pays_for_everyone(self):
-        assert compute_testing_outlay([Policy.mass_testing(50)], 1000) == 50_000.0
+        assert compute_testing_outlay([Policy("mass_testing", per_test_cost=50.0)], 1000) == 50_000.0
 
     def test_targeted_outlay_is_the_traced_share_of_mass(self):
-        mass = compute_testing_outlay([Policy.mass_testing(50)], 1000)
-        targeted = compute_testing_outlay([Policy.targeted_testing(50, 0.1)], 1000)
+        mass = compute_testing_outlay([Policy("mass_testing", per_test_cost=50.0)], 1000)
+        targeted = compute_testing_outlay(
+            [Policy("targeted_testing", per_test_cost=50.0, traced_fraction=0.1)], 1000
+        )
         assert targeted == 0.1 * mass
 
     def test_non_testing_policies_cost_nothing(self):
-        assert compute_testing_outlay([Policy.lockdown(), Policy.mask_mandate()], 1000) == 0.0
+        assert compute_testing_outlay([Policy("lockdown"), Policy("mask_mandate")], 1000) == 0.0
 
 
 class TestDesignerCost:
     def test_zero_weights_zero_cost(self):
         model = DesignerCostModel(0, 0, 0)
-        assert designer_cost(5.0, 100.0, 1000, [Policy.mass_testing(50)], model) == 0.0
+        assert designer_cost(5.0, 100.0, 1000, [Policy("mass_testing", per_test_cost=50.0)], model) == 0.0
 
     def test_linear_in_each_weight(self):
-        policies = [Policy.mass_testing(2)]
+        policies = [Policy("mass_testing", per_test_cost=2.0)]
         base = designer_cost(3.0, 7.0, 100, policies, DesignerCostModel(1, 1, 1))
         outlay = compute_testing_outlay(policies, 100)
         per_weight = {
@@ -251,7 +255,7 @@ class TestEvaluateMechanism:
 
     def test_lockdown_keeps_everyone_home(self):
         scenario = make_scenario()
-        report = evaluate_mechanism(scenario, [Policy.lockdown()], MODEL)
+        report = evaluate_mechanism(scenario, [Policy("lockdown")], MODEL)
         assert report.citizen_outcome.decision is Decision.STAY
         assert report.expected_infections == 0.0
         assert report.social_cost == scenario.population * scenario.cost_fn(
@@ -266,14 +270,14 @@ class TestEvaluateMechanism:
         scenario = make_scenario()
         baseline = evaluate_mechanism(scenario, [], MODEL)
         z_star = baseline.citizen_outcome.z_star
-        report = evaluate_mechanism(scenario, [Policy.lockdown()], MODEL)
+        report = evaluate_mechanism(scenario, [Policy("lockdown")], MODEL)
         assert report.suppressed_benefit == pytest.approx(
             scenario.population * scenario.benefit_fn(z_star)
         )
 
     def test_mass_testing_of_susceptibles_plays_maskless(self):
         scenario = make_scenario(bayesian=BayesianSetting(0.0, 0.5))
-        report = evaluate_mechanism(scenario, [Policy.mass_testing(50)], MODEL)
+        report = evaluate_mechanism(scenario, [Policy("mass_testing", per_test_cost=50.0)], MODEL)
         outcome = report.citizen_outcome
         assert outcome.revealed_susceptible_action == "no"
         assert outcome.revealed_infected_action is None
@@ -281,7 +285,7 @@ class TestEvaluateMechanism:
         assert report.testing_outlay == 50.0 * scenario.population
 
     def test_revealed_susceptibles_wear_in_masks_when_risk_exists(self):
-        report = evaluate_mechanism(make_scenario(), [Policy.mass_testing(50)], MODEL)
+        report = evaluate_mechanism(make_scenario(), [Policy("mass_testing", per_test_cost=50.0)], MODEL)
         outcome = report.citizen_outcome
         assert outcome.revealed_susceptible_action == "in"
         assert outcome.revealed_infected_action == "no"
@@ -304,19 +308,19 @@ class TestEvaluateMechanism:
         scenario = make_scenario(
             mask_costs=costs, bayesian=BayesianSetting(rho, 0.5), meeting_domain=MeetingDomain(0.1, 100, 1)
         )
-        policies = [Policy.free_masks(subsidy), Policy.mass_testing(50)]
+        policies = [Policy("free_masks", subsidy=subsidy), Policy("mass_testing", per_test_cost=50.0)]
         if mandate:
-            policies.append(Policy.mask_mandate())
+            policies.append(Policy("mask_mandate"))
         outcome = evaluate_mechanism(scenario, policies, MODEL).citizen_outcome
         assert outcome.decision is Decision.GO
-        prices = apply_policy(scenario, Policy.free_masks(subsidy)).mask_costs
+        prices = apply_policy(scenario, Policy("free_masks", subsidy=subsidy)).mask_costs
         game = pair_game(S, HealthStatus.INFECTED if rho > 0 else S, prices)
         susceptible, infected = pessimistic(restrict(game, ["out"], ["out"]) if mandate else game)
         assert outcome.revealed_susceptible_action == (susceptible if rho < 1 else None)
         assert outcome.revealed_infected_action == (infected if rho > 0 else None)
 
     def test_mandate_forces_out_masks_on_everyone(self):
-        report = evaluate_mechanism(make_scenario(), [Policy.mask_mandate()], MODEL)
+        report = evaluate_mechanism(make_scenario(), [Policy("mask_mandate")], MODEL)
         assert report.citizen_outcome.unrevealed_action == "out"
 
     def test_out_mask_protects_others_not_its_wearer(self):
@@ -327,7 +331,7 @@ class TestEvaluateMechanism:
             mask_costs=MaskCosts(1.0, 10.0, 999.0, 1000.0), efficiency=EfficiencyParams(0, 1)
         )
         laissez_faire = evaluate_mechanism(scenario, [], MODEL)
-        mandate = evaluate_mechanism(scenario, [Policy.mask_mandate()], MODEL)
+        mandate = evaluate_mechanism(scenario, [Policy("mask_mandate")], MODEL)
         assert laissez_faire.citizen_outcome.unrevealed_action == "no"
         assert laissez_faire.expected_infections > 0
         assert mandate.expected_infections == laissez_faire.expected_infections
@@ -341,7 +345,7 @@ class TestEvaluateMechanism:
         )
         unbound = evaluate_mechanism(scenario, [], MODEL)
         assert unbound.citizen_outcome.z_star == pytest.approx(100.0)
-        capped = evaluate_mechanism(scenario, [Policy.gathering_cap(5)], MODEL)
+        capped = evaluate_mechanism(scenario, [Policy("gathering_cap", limit=5)], MODEL)
         outcome = capped.citizen_outcome
         assert outcome.group_size == 5.0
         assert outcome.duration == pytest.approx(20.0)
@@ -350,7 +354,7 @@ class TestEvaluateMechanism:
     def test_non_binding_cap_changes_nothing_but_annotations(self):
         scenario = make_scenario()
         baseline = evaluate_mechanism(scenario, [], MODEL)
-        capped = evaluate_mechanism(scenario, [Policy.gathering_cap(10)], MODEL)
+        capped = evaluate_mechanism(scenario, [Policy("gathering_cap", limit=10)], MODEL)
         assert capped.citizen_outcome.group_size <= 10
         assert capped.citizen_outcome.group_size == baseline.citizen_outcome.group_size
         assert capped.social_cost == baseline.social_cost
@@ -358,7 +362,7 @@ class TestEvaluateMechanism:
 
     @given(st.integers(1, 40))
     def test_reported_group_size_never_exceeds_the_cap(self, limit):
-        report = evaluate_mechanism(make_scenario(), [Policy.gathering_cap(limit)], MODEL)
+        report = evaluate_mechanism(make_scenario(), [Policy("gathering_cap", limit=limit)], MODEL)
         outcome = report.citizen_outcome
         if outcome.decision is Decision.GO:
             assert outcome.group_size <= limit
@@ -382,9 +386,9 @@ class TestEvaluateMechanism:
 
 class TestComparePolicies:
     def test_single_set_gives_singleton_ranking(self):
-        ranked = compare_policies(make_scenario(), [[Policy.lockdown()]], MODEL)
+        ranked = compare_policies(make_scenario(), [[Policy("lockdown")]], MODEL)
         assert len(ranked) == 1
-        assert ranked[0][0] == (Policy.lockdown(),)
+        assert ranked[0][0] == (Policy("lockdown"),)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -400,16 +404,16 @@ class TestComparePolicies:
         reports = {
             policies: report
             for policies, report in compare_policies(
-                scenario, [[], [Policy.mask_mandate()]], MODEL
+                scenario, [[], [Policy("mask_mandate")]], MODEL
             )
         }
-        assert reports[()].social_cost < reports[(Policy.mask_mandate(),)].social_cost
+        assert reports[()].social_cost < reports[(Policy("mask_mandate"),)].social_cost
 
     def test_targeted_testing_beats_mass_testing_on_equal_infections(self):
         # with nobody infected and nobody wearing, infections match exactly
         scenario = make_scenario(bayesian=BayesianSetting(0.0, 0.0))
-        mass = [Policy.mass_testing(50)]
-        targeted = [Policy.targeted_testing(50, 0.1)]
+        mass = [Policy("mass_testing", per_test_cost=50.0)]
+        targeted = [Policy("targeted_testing", per_test_cost=50.0, traced_fraction=0.1)]
         ranked = compare_policies(scenario, [mass, targeted], MODEL)
         reports = {policies: report for policies, report in ranked}
         assert (
@@ -419,7 +423,7 @@ class TestComparePolicies:
         assert ranked[0][0] == tuple(targeted)
 
     def test_ranking_is_a_deterministic_permutation(self):
-        sets = [[], [Policy.lockdown()], [Policy.mask_mandate()], [Policy.free_masks(100)]]
+        sets = [[], [Policy("lockdown")], [Policy("mask_mandate")], [Policy("free_masks", subsidy=100.0)]]
         first = compare_policies(make_scenario(), sets, MODEL)
         second = compare_policies(make_scenario(), sets, MODEL)
         assert first == second

@@ -95,10 +95,10 @@ class TestParsing:
         names = [name for name, _ in config.policy_sets]
         assert names == ["baseline", "mandate", "combo"]
         assert config.policy_sets[0][1] == ()
-        assert config.policy_sets[1][1] == (Policy.mask_mandate(),)
+        assert config.policy_sets[1][1] == (Policy("mask_mandate"),)
         assert config.policy_sets[2][1] == (
-            Policy.free_masks(50),
-            Policy.targeted_testing(5, 0.1),
+            Policy("free_masks", subsidy=50.0),
+            Policy("targeted_testing", per_test_cost=5.0, traced_fraction=0.1),
         )
 
     def test_partial_file_leaves_other_sections_unset(self, tmp_path):
@@ -196,6 +196,20 @@ class TestValidationMessages:
     def test_unknown_section_named(self, tmp_path):
         with pytest.raises(ScenarioError, match=r"unknown section 'masks'"):
             parse_scenario(write(tmp_path, "[masks]\nc_out = 1\n"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[DEFAULT]\n\n" + FULL,
+            "[DEFAULT]\nfoo = 1\n\n" + FULL,  # not reported as a key of the first section
+            # not read as [distancing].rho, which the file omits
+            "[DEFAULT]\nrho = 0.0077\n\n" + FULL.replace("L = 11300000\nrho = 0.0077\n", "L = 11300000\n"),
+        ],
+        ids=["empty", "stray-key", "fills-a-missing-key"],
+    )
+    def test_default_is_an_unknown_section(self, tmp_path, text):
+        with pytest.raises(ScenarioError, match=r"^unknown section 'DEFAULT'; have bayesian, "):
+            parse_scenario(write(tmp_path, text))
 
     def test_unknown_key_named(self, tmp_path):
         with pytest.raises(ScenarioError, match=r"\[bayesian\]: unknown key 'rho2'"):

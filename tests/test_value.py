@@ -46,7 +46,7 @@ def test_fields_by_position_keyword_or_default():
 
 def test_repr_keeps_the_dataclass_text():
     assert repr(MeetingDomain()) == "MeetingDomain(z_min=0.1, z_max=100.0, grid_steps=10000)"
-    assert repr(Policy.free_masks(12.5)) == (
+    assert repr(Policy("free_masks", subsidy=12.5)) == (
         "Policy(kind='free_masks', subsidy=12.5, limit=None, per_test_cost=None,"
         " traced_fraction=None)"
     )
@@ -147,8 +147,10 @@ def test_every_number_field_refuses_non_finite_values(value, field, bad):
 @pytest.mark.parametrize(
     "build, field",
     [
-        pytest.param(lambda: Policy.free_masks(math.nan), "subsidy", id="free_masks"),
-        pytest.param(lambda: Policy.mass_testing(math.inf), "per_test_cost", id="mass_testing"),
+        pytest.param(lambda: Policy("free_masks", subsidy=math.nan), "subsidy", id="free_masks"),
+        pytest.param(
+            lambda: Policy("mass_testing", per_test_cost=math.inf), "per_test_cost", id="mass_testing"
+        ),
         pytest.param(lambda: DistancingParams(math.nan, 1, 0.1, 1, 0.1), "benefit", id="benefit"),
         pytest.param(lambda: DistancingParams(1, 1, math.nan, 1, 0.1), "mortality", id="mortality"),
         pytest.param(lambda: DistancingParams(1, 1, 0.1, math.inf, 0.1), "life_value", id="life_value"),
