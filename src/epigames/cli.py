@@ -18,8 +18,8 @@ from typing import Callable
 
 from . import oracle
 from .distancing import (
+    MAX_GRID_STEPS,
     Decision,
-    GroupMeeting,
     curve_series,
     distancing_utility,
     extended_go_decision,
@@ -39,7 +39,7 @@ from .masks import (
     efficiency_expected_cost,
     pair_game,
 )
-from .policy import LOCKDOWN, MASK_MANDATE, compare_policies, designer_cost
+from .policy import GATHERING_CAP, LOCKDOWN, MASK_MANDATE, compare_policies, designer_cost
 from .scenario import ScenarioConfig, parse_scenario
 from .value import Value
 
@@ -81,10 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
     parser.add_argument("--scenario", required=True, help="path to the scenario file")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("table", "csv"), default="table")
-    parser.add_argument("--grid-steps", type=int, default=None, metavar="N")
+    parser.add_argument("--format", choices=("table", "csv"), default="table", help="table (default) or csv")
+    parser.add_argument(
+        "--grid-steps", type=int, default=None, metavar="N",
+        help=f"1 to {MAX_GRID_STEPS:,}; default: the scenario's grid_steps",
+    )
     parser.add_argument("--verify", action="store_true", help="cross-check against brute force")
-    parser.add_argument("--precision", type=int, default=6, metavar="D")
+    parser.add_argument("--precision", type=int, default=6, metavar="D", help=f"1 to {MAX_PRECISION}; default 6")
     return parser
 
 
@@ -365,12 +368,9 @@ def _cmd_curves(config: ScenarioConfig, opts: ReportOptions) -> str:
     if opts.verify:
         mismatches = []
         for z, value in series:
-            # same objective through the group-meeting composition; no risk, no bound
-            # equal bit for bit: the kernel computes B(z) + C(z) and -expm1(z·log1p(-rho))·m alike, and z·1.0 == z
-            risk = (
-                group_infection_probability(params.infection_prob, GroupMeeting(z, 1.0))
-                * params.mortality
-            )
+            # same objective composed from the infection probability; no risk, no bound
+            # equal bit for bit: the kernel computes B(z) + C(z) and -expm1(z·log1p(-rho))·m alike
+            risk = group_infection_probability(params.infection_prob, z) * params.mortality
             composed = (benefit_fn(z) + cost_fn(z)) / risk if risk else math.inf
             if value != composed:
                 mismatches.append(f"objective at z={z} disagrees with composed form")
@@ -400,7 +400,6 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> str:
                 "+".join(p.describe() for p in policies) or "(none)",
                 outcome.decision.value,
                 outcome.z_star,
-                outcome.group_size,
                 report.expected_infections,
                 report.social_cost,
                 report.testing_outlay,
@@ -426,6 +425,12 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> str:
                 mismatches.append("designer cost disagrees with direct recomputation")
             if any(p.kind == LOCKDOWN for p in policies) and report.expected_infections != 0.0:
                 mismatches.append("lockdown produced nonzero expected infections")
+            # a go set's z_star lies in [z_min, min(z_max, its caps)]; a lockdown is the cap 0
+            caps = [0 if p.kind == LOCKDOWN else p.limit
+                    for p in policies if p.kind in (GATHERING_CAP, LOCKDOWN)]
+            z_star, domain = report.citizen_outcome.z_star, scenario.meeting_domain
+            if z_star is not None and not domain.z_min <= z_star <= min([domain.z_max, *caps]):
+                mismatches.append(f"z_star {z_star} lies outside the window its gathering limit allows")
             if any(p.kind == MASK_MANDATE for p in policies):
                 game = pair_game(
                     HealthStatus.SUSCEPTIBLE, HealthStatus.SUSCEPTIBLE, scenario.mask_costs
@@ -445,7 +450,6 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> str:
             "policies",
             "decision",
             "z_star",
-            "group_size",
             "expected_infections",
             "social_cost",
             "testing_outlay",
@@ -463,7 +467,7 @@ _COMMANDS = {
     "mask-bayesian": ("mask decision under unknown health status", _cmd_mask_bayesian),
     "mask-efficiency": ("mask decision with imperfect protection", _cmd_mask_efficiency),
     "distancing": ("go-out versus stay-home decision", _cmd_distancing),
-    "meeting-opt": ("optimal meeting exposure z = group * duration", _cmd_meeting_opt),
+    "meeting-opt": ("optimal meeting exposure z", _cmd_meeting_opt),
     "curves": ("meeting objective sampled over the z domain", _cmd_curves),
     "policy-compare": ("evaluate and rank government policy sets", _cmd_policy_compare),
 }

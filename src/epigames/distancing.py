@@ -1,9 +1,9 @@
-"""Go-out versus stay-home decisions and meeting-size/duration optimization.
+"""Go-out versus stay-home decisions and meeting-exposure optimization.
 
 The basic decision weighs the benefit of going out against the expected
-mortality cost of an infection.  The extended model prices a meeting with
-``g`` potential infectious sources lasting ``t`` time units through the
-combined exposure z = g*t, and optimizes the risk-adjusted stakes over z.
+mortality cost of an infection.  The extended model prices a meeting by its
+exposure z, the number of contacts with potential infectious sources, and
+optimizes the risk-adjusted stakes over z.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ MAX_GRID_STEPS = 1_000_000
 
 
 class MeetingDomain(Value):
-    """Search window for the combined exposure z = group_size * duration."""
+    """Search window for the meeting exposure z."""
 
     z_min: float = 0.1
     z_max: float = 100.0
@@ -137,24 +137,6 @@ class MeetingDomain(Value):
         return points
 
 
-class GroupMeeting(Value):
-    """A meeting with ``group_size`` potential sources for ``duration`` time."""
-
-    group_size: float
-    duration: float
-
-    def __post_init__(self) -> None:
-        if self.group_size <= 0 or self.duration <= 0:
-            raise ValueError(
-                f"group size and duration must be positive, got g={self.group_size},"
-                f" t={self.duration}"
-            )
-
-    @property
-    def z(self) -> float:
-        return self.group_size * self.duration
-
-
 def distancing_utility(p: float, params: DistancingParams) -> float:
     """Utility of going out with probability p; affine in p."""
     if not 0 <= p <= 1:
@@ -188,8 +170,8 @@ def stay_home_decision(params: DistancingParams) -> StayHomeDecision:
     return StayHomeDecision(decision, threshold)
 
 
-def group_infection_probability(rho: float, meeting: GroupMeeting) -> float:
-    """Probability of catching the infection: 1 - (1 - rho)^(g*t).
+def group_infection_probability(rho: float, z: float) -> float:
+    """Probability of catching the infection at exposure z > 0: 1 - (1 - rho)^z.
 
     Computed as -expm1(z * log1p(-rho)), which keeps full relative precision
     where the direct form cancels: 1 - rho drops the low digits of a small
@@ -197,7 +179,9 @@ def group_infection_probability(rho: float, meeting: GroupMeeting) -> float:
     """
     if not 0 <= rho <= 1:
         raise ValueError(f"rho must be within [0, 1], got {rho}")
-    return 1.0 if rho == 1 else -math.expm1(meeting.z * math.log1p(-rho))
+    if z <= 0:
+        raise ValueError(f"exposure z must be positive, got {z}")
+    return 1.0 if rho == 1 else -math.expm1(z * math.log1p(-rho))
 
 
 def z_objective(

@@ -2,8 +2,9 @@
 
 Covers the full-information pair games over the actions (no, out, in), the
 Bayesian analysis under unknown health status (merged action ``use``), the
-mask-efficiency analysis with imperfect protection, and the many-player
-assignment rule with its social-optimality condition.
+mask-efficiency analysis with imperfect protection, and the condition under
+which many-player play (susceptibles in in-masks, infected maskless) is
+socially optimal.
 Every decision here compares the ``Fraction``s its float inputs denote; the
 numbers a report prints stay floats, and a printed threshold is the exact
 quantity its decision compares, rounded once.
@@ -15,7 +16,7 @@ import enum
 import math
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import DomainError, FieldError
 from .games import ActionSet, CostTable
@@ -229,28 +230,6 @@ def efficiency_analysis(eff: EfficiencyParams, costs: MaskCosts) -> EfficiencyAn
     return EfficiencyAnalysis(stationary, second, float(ratio), fu < ratio * fi, best, curvature == 0)
 
 
-class MultiplayerEquilibrium(NamedTuple):
-    actions: tuple[str, ...]
-    no_infected: bool  # flags the degenerate all-susceptible input
-
-
-def multiplayer_equilibrium(
-    statuses: Sequence[HealthStatus], costs: MaskCosts
-) -> MultiplayerEquilibrium:
-    """Equilibrium assignment when every player meets every other player.
-
-    Infected players go maskless; susceptible players wear the in-mask.
-    With no infected player present the rule still assigns in-masks, which
-    is flagged so callers can treat the risk-free case separately.
-    """
-    if not statuses:
-        raise ValueError("at least one player is required")
-    actions = tuple(
-        ACTION_NO if s is HealthStatus.INFECTED else ACTION_IN for s in statuses
-    )
-    return MultiplayerEquilibrium(actions, HealthStatus.INFECTED not in statuses)
-
-
 class SocialOptimumCondition(NamedTuple):
     holds: bool
     lhs: float  # c_in / c_out
@@ -258,7 +237,7 @@ class SocialOptimumCondition(NamedTuple):
 
 
 def multiplayer_so_condition(rho: float, costs: MaskCosts) -> SocialOptimumCondition:
-    """Whether the many-player equilibrium is also the social optimum.
+    """Whether many-player play (susceptibles in in-masks, infected maskless) is socially optimal.
 
     Susceptibles wearing in-masks beats infected wearing out-masks exactly
     when c_in/c_out < rho/(1-rho), decided as c_in(1-rho) < rho*c_out on the

@@ -11,11 +11,12 @@ Conventions used by the evaluation:
 - ``distancing.infection_prob`` drives per-meeting exposure; new infections
   are priced at ``mask_costs.c_infection``.  Sunk costs of already-infected
   citizens are excluded (they are policy-independent).
-- Citizens who stay home bear ``cost_fn(z_min)``; the benefit a lockdown
-  suppresses is charged to the designer, not to social cost.
-- A meeting with exposure z defaults to group size z for one time unit; a
-  gathering cap shrinks the group dimension and stretches the duration so
-  the optimized exposure is preserved.
+- Citizens who stay home bear ``cost_fn(z_min)``.
+- A gathering cap k bounds the exposure: citizens optimize z over
+  [z_min, min(z_max, k)], and stay home when k <= z_min.  A lockdown is the
+  cap 0, which no meeting fits.  The benefit a cap suppresses,
+  n * (B(z_free) - B(z)) with B = 0 at home, is charged to the designer, not
+  to social cost.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .distancing import (
     CostBenefitFunction,
     Decision,
     DistancingParams,
-    GroupMeeting,
     MeetingDomain,
     extended_go_decision,
     group_infection_probability,
@@ -145,9 +145,8 @@ class Scenario(Value):
     population: int
     policies_applied: tuple[Policy, ...] = ()
     mask_mandate: bool = False
-    lockdown: bool = False
     revealed_fraction: float = 0.0
-    gathering_limit: int | None = None
+    gathering_limit: int | None = None  # the largest exposure allowed; 0 under lockdown
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -177,8 +176,6 @@ class CitizenOutcome(Value):
 
     decision: Decision
     z_star: float | None
-    group_size: float | None
-    duration: float | None
     revealed_susceptible_action: str | None
     revealed_infected_action: str | None
     unrevealed_action: str | None
@@ -200,8 +197,9 @@ class MechanismReport(Value):
 def apply_policy(scenario: Scenario, policy: Policy) -> Scenario:
     """Rewrite the scenario under one policy, annotating it as applied.
 
-    Stacking is left-to-right; lockdown dominates meeting policies, and the
-    weaker of an incompatible pair is kept only as an annotated warning.
+    Stacking is left-to-right and keeps the smallest gathering limit, so a
+    lockdown (limit 0) dominates any cap; a cap that a lockdown overrides is
+    kept only as an annotated warning.
     """
     applied = scenario.policies_applied + (policy,)
     if policy.kind == MASK_MANDATE:
@@ -213,21 +211,19 @@ def apply_policy(scenario: Scenario, policy: Policy) -> Scenario:
             c_out=max(0.0, costs.c_out - policy.subsidy),
         )
         return scenario.replace(mask_costs=subsidized, policies_applied=applied)
-    if policy.kind == GATHERING_CAP:
+    if policy.kind in (GATHERING_CAP, LOCKDOWN):
         warnings = scenario.warnings
-        if scenario.lockdown:
-            warnings += ("gathering_cap has no effect under lockdown (stricter policy wins)",)
-        limit = (
-            policy.limit
-            if scenario.gathering_limit is None
-            else min(scenario.gathering_limit, policy.limit)
-        )
-        return scenario.replace(gathering_limit=limit, policies_applied=applied, warnings=warnings)
-    if policy.kind == LOCKDOWN:
-        warnings = scenario.warnings
+        if policy.kind == LOCKDOWN:
+            limit = 0
+            if any(p.kind == GATHERING_CAP for p in scenario.policies_applied):
+                warnings += ("lockdown overrides gathering_cap (stricter policy wins)",)
+        else:
+            limit = policy.limit
+            if scenario.gathering_limit == 0:
+                warnings += ("gathering_cap has no effect under lockdown (stricter policy wins)",)
         if scenario.gathering_limit is not None:
-            warnings += ("lockdown overrides gathering_cap (stricter policy wins)",)
-        return scenario.replace(lockdown=True, policies_applied=applied, warnings=warnings)
+            limit = min(scenario.gathering_limit, limit)
+        return scenario.replace(gathering_limit=limit, policies_applied=applied, warnings=warnings)
     if policy.kind == MASS_TESTING:
         return scenario.replace(revealed_fraction=1.0, policies_applied=applied)
     # targeted testing: reveal at least the traced fraction
@@ -268,11 +264,12 @@ def evaluate_mechanism(
 ) -> MechanismReport:
     """Apply policies in order, run the citizen games, aggregate the costs.
 
-    Citizens first decide go/stay via the meeting optimization; goers then
-    choose masks: revealed statuses play the full-information pair games
-    (susceptibles wear in-masks whenever infected players exist, infected
-    players go maskless), unrevealed citizens follow the Bayesian rule, and
-    a mandate forces the out-mask on everyone.  The revealed play is the
+    Citizens first decide go/stay via the meeting optimization over the
+    exposures their gathering limit allows; goers then choose masks:
+    revealed statuses play the full-information pair games (susceptibles
+    wear in-masks whenever infected players exist, infected players go
+    maskless), unrevealed citizens follow the Bayesian rule, and a mandate
+    forces the out-mask on everyone.  The revealed play is the
     pessimistic pure equilibrium of ``pair_game`` at every valid price, free
     masks included: of the equilibria, the one with the highest total cost,
     ties broken by table order.  That is (in, no) for a susceptible meeting an
@@ -289,23 +286,28 @@ def evaluate_mechanism(
 
     d = s.distancing
     n = s.population
-    baseline = extended_go_decision(
-        s.benefit_fn, s.cost_fn, d.infection_prob, d.mortality, d.life_value, s.meeting_domain
+    domain = s.meeting_domain
+    free = extended_go_decision(
+        s.benefit_fn, s.cost_fn, d.infection_prob, d.mortality, d.life_value, domain
     )
-    if s.lockdown:
-        outcome_decision: Decision = Decision.STAY
-        z_star = None
-        suppressed = (
-            n * s.benefit_fn(baseline.z_star) if baseline.decision is Decision.GO else 0.0
-        )
-    else:
-        outcome_decision, z_star = baseline.decision, baseline.z_star
-        suppressed = 0.0
+    outcome_decision, z_star = free
+    suppressed = 0.0
+    limit = s.gathering_limit
+    if free.decision is Decision.GO and limit is not None and limit < free.z_star:
+        if limit <= domain.z_min:  # no meeting fits the cap
+            outcome_decision, z_star = Decision.STAY, None
+        else:
+            outcome_decision, z_star = extended_go_decision(
+                s.benefit_fn, s.cost_fn, d.infection_prob, d.mortality, d.life_value,
+                domain.replace(z_max=float(limit)),
+            )
+        kept = s.benefit_fn(z_star) if outcome_decision is Decision.GO else 0.0  # none at home
+        suppressed = n * (s.benefit_fn(free.z_star) - kept)
 
     if outcome_decision is Decision.STAY:
-        outcome = CitizenOutcome(Decision.STAY, None, None, None, None, None, None)
+        outcome = CitizenOutcome(Decision.STAY, None, None, None, None)
         infections = 0.0
-        social = n * s.cost_fn(s.meeting_domain.z_min)
+        social = n * s.cost_fn(domain.z_min)
     else:
         rho_b = s.bayesian.rho
         f_r = s.revealed_fraction
@@ -318,9 +320,7 @@ def evaluate_mechanism(
             ri_action = ACTION_NO
             u_action = ACTION_USE if bayesian_best_p2(s.bayesian, costs) == 1.0 else ACTION_NO
 
-        group = z_star if s.gathering_limit is None else min(float(s.gathering_limit), z_star)
-        duration = z_star / group
-        exposure = group_infection_probability(d.infection_prob, GroupMeeting(group, duration))
+        exposure = group_infection_probability(d.infection_prob, z_star)
 
         rs, ri, u = MASK_ACTIONS[rs_action], MASK_ACTIONS[ri_action], MASK_ACTIONS[u_action]
         own = {True: s.efficiency.a, False: 1.0}  # a susceptible's factor, by protects_wearer
@@ -337,8 +337,6 @@ def evaluate_mechanism(
         outcome = CitizenOutcome(
             Decision.GO,
             z_star,
-            group,
-            duration,
             rs_action if f_r > 0 and rho_b < 1 else None,
             ri_action if f_r > 0 and rho_b > 0 else None,
             u_action if f_r < 1 else None,

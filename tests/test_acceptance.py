@@ -243,12 +243,12 @@ def test_criterion_9_policy_layer_guarantees():
         if risky:
             assert bayesian_best_p2(setting, subsidized.mask_costs) == 1.0
 
-    # a gathering cap never lets the reported group size exceed the limit
+    # a gathering cap never lets the reported exposure exceed the limit
     for limit in (1, 3, 10, 50):
         capped = evaluate_mechanism(scenario, [Policy("gathering_cap", limit=limit)], model)
         outcome = capped.citizen_outcome
         if outcome.decision is Decision.GO:
-            assert outcome.group_size <= limit
+            assert outcome.z_star <= limit
 
     # lockdown removes all expected infections
     locked = evaluate_mechanism(scenario, [Policy("lockdown")], model)

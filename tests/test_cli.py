@@ -244,6 +244,15 @@ class TestCommandTable:
         listed = re.findall(r"^ {4}(\S+) +(.+)$", capsys.readouterr().out, re.MULTILINE)
         assert listed == [(name, descr) for name, (descr, _) in cli._COMMANDS.items()]
 
+    def test_help_states_each_default_and_range(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.run(["--help"])
+        # argparse wraps long help lines; join them back before matching
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--format {table,csv} table (default) or csv" in text
+        assert "--grid-steps N 1 to 1,000,000; default: the scenario's grid_steps" in text
+        assert "--precision D 1 to 17; default 6" in text
+
     @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
     def test_options_parse_alike_before_and_after_the_command(self, command):
         options = ["--scenario", "s.ini", "--out", "r.csv", "--format", "csv",
@@ -470,8 +479,8 @@ GOLDEN_DIGESTS = {
     ("meeting-opt", "csv"): "623b3033ca1f819ea74b924b132a52dd59b6a3d909a938f4f4c6c14928597c32",
     ("curves", "table"): "6b760e8749ac7179349ca67ce2af1d53e1a9b074b2409ea340483de40afe9d38",
     ("curves", "csv"): "70c46a1c91c204ae18435f09fe753a39f662bdab293f0023d96deb897827d586",
-    ("policy-compare", "table"): "a342f62145ad66dd8b60fd5f732957f3af8104da8ebbd1f46c9486046eefc44b",
-    ("policy-compare", "csv"): "1a2478c51900dc5ea0d706e55bb71f7e99bb0ce343f0c7d5ffbb308d460b3d29",
+    ("policy-compare", "table"): "d1a3a4664ba5fd232876a3b539e603c88cfd92cb0441656b32554a0aa1824d50",
+    ("policy-compare", "csv"): "832562601372f76f4702712755472175ded9d8849df6150f6f7651fb2a3262dc",
 }
 
 
@@ -866,6 +875,61 @@ def test_policy_warnings_go_to_stderr_in_input_order(tmp_path, capsys):
         "epigames: warning: [policies].locked: gathering_cap has no effect under lockdown"
         " (stricter policy wins)\n"
     )
+
+
+def _policy_rows(tmp_path, capsys, edits, policies):
+    """policy-compare --format csv --verify on the bundled scenario with ``edits`` and only
+    the ``policies`` sets; returns the rows by set name."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read(BASELINE_FILE, encoding="utf-8")
+    parser.remove_section("policies")
+    parser["policies"] = policies
+    text = io.StringIO()
+    parser.write(text)
+    code, out, err = run_cli(
+        capsys, "policy-compare", "--scenario", _edited_scenario(tmp_path, text.getvalue(), edits),
+        "--format", "csv", "--verify", "--precision", "17",
+    )
+    assert (code, err) == (0, "")
+    header, *rows = parse_csv(out)
+    return {row[1]: dict(zip(header, row)) for row in rows}
+
+
+def test_a_cap_wins_no_ranking_on_rounding_noise(tmp_path, capsys):
+    # the free optimum is z_max = 20.05; a cap of 10 moves it to 10 and charges
+    # the designer n * (B(20.05) - B(10)) = 1000 * (200.5 - 100)
+    edits = [("functions", "benefit", "linear:10,0"), ("functions", "cost", "linear:1,0"),
+             ("meeting", "z_max", "20.05"), ("distancing", "L", "1")]
+    rows = _policy_rows(tmp_path, capsys, edits, {"none": "", "cap": "gathering_cap limit=10"})
+    assert (rows["none"]["rank"], rows["cap"]["rank"]) == ("1", "2")
+    assert float(rows["none"]["z_star"]) == 20.05
+    assert (float(rows["cap"]["z_star"]), float(rows["cap"]["suppressed_benefit"])) == (10.0, 100_500.0)
+
+
+def test_a_cap_below_z_min_is_the_lockdown(tmp_path, capsys):
+    edits = [("meeting", "z_min", "2"), ("distancing", "L", "100000")]
+    rows = _policy_rows(tmp_path, capsys, edits, {"shutdown": "lockdown", "tiny": "gathering_cap limit=1"})
+    after = list(rows["tiny"])[3:]  # every column after policies
+    assert after[0] == "decision" and rows["tiny"]["decision"] == "stay"
+    assert [rows["tiny"][key] for key in after] == [rows["shutdown"][key] for key in after]
+
+
+def test_policy_compare_verify_rejects_a_z_star_above_its_cap(capsys, monkeypatch):
+    real = cli.compare_policies
+
+    def beyond_the_cap(scenario, policy_sets, model):
+        ranked = real(scenario, policy_sets, model)
+        return [
+            (policies, report.replace(citizen_outcome=report.citizen_outcome.replace(z_star=11.0)))
+            if any(p.kind == "gathering_cap" for p in policies) else (policies, report)
+            for policies, report in ranked
+        ]
+
+    monkeypatch.setattr(cli, "compare_policies", beyond_the_cap)
+    code, _, err = run_cli(capsys, "policy-compare", "--scenario", str(BASELINE_FILE), "--verify")
+    assert code == 3
+    assert "z_star 11.0 lies outside the window its gathering limit allows" in err
 
 
 @pytest.mark.parametrize(

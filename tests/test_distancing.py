@@ -13,7 +13,6 @@ from epigames import (
     Decision,
     DistancingParams,
     DomainError,
-    GroupMeeting,
     MeetingDomain,
     curve_series,
     distancing_utility,
@@ -130,35 +129,34 @@ class TestStayHomeDecision:
 
 class TestGroupInfectionProbability:
     def test_unit_exposure_reduces_to_base_probability(self):
-        prob = group_infection_probability(0.3, GroupMeeting(1.0, 1.0))
+        prob = group_infection_probability(0.3, 1.0)
         assert prob == pytest.approx(0.3, abs=1e-12)
 
     def test_no_base_risk_means_no_risk(self):
-        assert group_infection_probability(0.0, GroupMeeting(50, 2)) == 0.0
+        assert group_infection_probability(0.0, 100.0) == 0.0
 
-    def test_six_person_hours_at_us_prevalence(self):
-        prob = group_infection_probability(0.0077, GroupMeeting(2, 3))
+    def test_six_contacts_at_us_prevalence(self):
+        prob = group_infection_probability(0.0077, 6.0)
         assert prob == pytest.approx(0.0453, abs=1e-4)
 
-    @given(
-        st.floats(0, 1),
-        st.floats(0.1, 50),
-        st.floats(0.1, 50),
-        st.floats(1.01, 2),
-    )
-    def test_monotone_in_exposure_and_risk(self, rho, g, t, factor):
-        base = group_infection_probability(rho, GroupMeeting(g, t))
-        assert base <= group_infection_probability(rho, GroupMeeting(g * factor, t)) + 1e-12
-        assert base <= group_infection_probability(rho, GroupMeeting(g, t * factor)) + 1e-12
+    @given(st.floats(0, 1), st.floats(0.1, 100), st.floats(1.01, 2))
+    def test_monotone_in_exposure_and_risk(self, rho, z, factor):
+        base = group_infection_probability(rho, z)
+        assert base <= group_infection_probability(rho, z * factor) + 1e-12
         if rho < 0.99:
-            higher = group_infection_probability(min(1.0, rho * factor), GroupMeeting(g, t))
+            higher = group_infection_probability(min(1.0, rho * factor), z)
             assert base <= higher + 1e-12
 
-    def test_saturates_for_long_meetings(self):
-        assert group_infection_probability(0.2, GroupMeeting(100, 100)) == pytest.approx(1.0)
+    def test_saturates_at_large_exposure(self):
+        assert group_infection_probability(0.2, 10_000.0) == pytest.approx(1.0)
 
     def test_certain_infection_at_full_risk(self):
-        assert group_infection_probability(1.0, GroupMeeting(0.1, 1.0)) == 1.0
+        assert group_infection_probability(1.0, 0.1) == 1.0
+
+    @pytest.mark.parametrize("z", [0.0, -1.0])
+    def test_exposure_must_be_positive(self, z):
+        with pytest.raises(ValueError, match="exposure z must be positive"):
+            group_infection_probability(0.1, z)
 
     @given(st.floats(-12, 0), st.floats(0.1, 100))
     def test_matches_a_50_digit_reference(self, log10_rho, z):
@@ -167,7 +165,7 @@ class TestGroupInfectionProbability:
         rho = 10.0**log10_rho
         exact = reference_risk(rho, z)
         for risk in (
-            group_infection_probability(rho, GroupMeeting(z, 1.0)),
+            group_infection_probability(rho, z),
             1 / z_objective(z, ONE, ZERO, rho, 1.0),
         ):
             assert abs(Decimal(risk) - exact) <= exact * RISK_REL_TOL
@@ -201,9 +199,7 @@ class TestZObjective:
         benefit = CostBenefitFunction.linear(3, 10)
         cost = CostBenefitFunction.constant(5)
         direct = z_objective(z, benefit, cost, rho, m)
-        composed = (benefit(z) + cost(z)) / (
-            group_infection_probability(rho, GroupMeeting(z, 1.0)) * m
-        )
+        composed = (benefit(z) + cost(z)) / (group_infection_probability(rho, z) * m)
         assert direct == pytest.approx(composed, rel=1e-12)
 
     def test_rejects_degenerate_inputs(self):
@@ -503,10 +499,6 @@ class TestInputTypes:
             MeetingDomain(1, 200)
         with pytest.raises(ValueError, match="grid_steps"):
             MeetingDomain(1, 10, 0)
-
-    def test_group_meeting_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            GroupMeeting(0, 1)
 
     def test_cost_benefit_function_validation(self):
         with pytest.raises(ValueError, match="kind"):

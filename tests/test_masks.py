@@ -19,7 +19,6 @@ from epigames import (
     cli,
     efficiency_analysis,
     efficiency_expected_cost,
-    multiplayer_equilibrium,
     multiplayer_so_condition,
     oracle,
     pair_game,
@@ -236,24 +235,6 @@ class TestEfficiencyAnalysis:
 
 
 class TestMultiplayer:
-    def test_one_infected_among_susceptibles(self, base_costs):
-        result = multiplayer_equilibrium([I, S, S], base_costs)
-        assert result.actions == ("no", "in", "in")
-        assert not result.no_infected
-
-    def test_all_susceptible_is_flagged(self, base_costs):
-        result = multiplayer_equilibrium([S, S, S], base_costs)
-        assert result.actions == ("in", "in", "in")
-        assert result.no_infected
-
-    def test_all_infected_go_maskless(self, base_costs):
-        result = multiplayer_equilibrium([I, I], base_costs)
-        assert result.actions == ("no", "no")
-
-    def test_empty_player_list_rejected(self, base_costs):
-        with pytest.raises(ValueError, match="at least one player"):
-            multiplayer_equilibrium([], base_costs)
-
     def test_condition_fails_at_even_infection_share(self, base_costs):
         result = multiplayer_so_condition(0.5, base_costs)
         assert (result.holds, result.lhs) == (False, 10.0)

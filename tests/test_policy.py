@@ -22,10 +22,12 @@ from epigames import (
     compare_policies,
     designer_cost,
     evaluate_mechanism,
+    optimal_meeting,
     pair_game,
     pure_nash_equilibria,
     restrict,
     testing_outlay as compute_testing_outlay,
+    z_objective,
 )
 from epigames.policy import POLICY_KINDS, POLICY_PARAMS
 
@@ -49,6 +51,16 @@ def make_scenario(**overrides):
 
 
 MODEL = DesignerCostModel(weight_infection=10_000, weight_test=1.0, weight_economic=1.0)
+_AGGREGATES = ("expected_infections", "social_cost", "designer_cost", "testing_outlay", "suppressed_benefit")
+
+
+def _top_of_window_scenario():
+    """Stakes B(z) = 10 z with no home cost: the free optimum is z_max = 100, and a
+    life value below the stakes at every z keeps citizens going out under any cap."""
+    return make_scenario(
+        cost_fn=CostBenefitFunction.constant(0),
+        distancing=DistancingParams(3000, 500, 0.034, 30_000, 0.0077),
+    )
 
 
 _PARAM_VALUES = {
@@ -143,7 +155,7 @@ class TestApplyPolicy:
             "mask_mandate": {"mask_mandate"},
             "free_masks": {"mask_costs"},
             "gathering_cap": {"gathering_limit"},
-            "lockdown": {"lockdown"},
+            "lockdown": {"gathering_limit"},
             "mass_testing": {"revealed_fraction"},
             "targeted_testing": {"revealed_fraction"},
         }
@@ -195,9 +207,15 @@ class TestApplyPolicy:
             apply_policy(make_scenario(), Policy("gathering_cap", limit=5)), Policy("lockdown")
         )
         for scenario in (first, second):
-            assert scenario.lockdown and scenario.gathering_limit == 5
+            assert scenario.gathering_limit == 0  # a lockdown is the cap no meeting fits
             assert len(scenario.warnings) == 1
             assert "stricter policy wins" in scenario.warnings[0]
+
+    def test_each_lockdown_after_a_cap_warns(self):
+        scenario = make_scenario()
+        for policy in (Policy("gathering_cap", limit=5), Policy("lockdown"), Policy("lockdown")):
+            scenario = apply_policy(scenario, policy)
+        assert scenario.warnings == ("lockdown overrides gathering_cap (stricter policy wins)",) * 2
 
     def test_testing_policies_reveal_statuses(self):
         mass = Policy("mass_testing", per_test_cost=5.0)
@@ -336,36 +354,84 @@ class TestEvaluateMechanism:
         assert laissez_faire.expected_infections > 0
         assert mandate.expected_infections == laissez_faire.expected_infections
 
-    def test_binding_gathering_cap_caps_group_and_stretches_duration(self):
+    def test_binding_gathering_cap_bounds_the_exposure(self):
         # pure linear stakes push the optimum to the top of the window; a
         # modest life value keeps the go decision in play
-        scenario = make_scenario(
-            cost_fn=CostBenefitFunction.constant(0),
-            distancing=DistancingParams(3000, 500, 0.034, 40_000, 0.0077),
-        )
+        scenario = _top_of_window_scenario()
         unbound = evaluate_mechanism(scenario, [], MODEL)
-        assert unbound.citizen_outcome.z_star == pytest.approx(100.0)
+        assert unbound.citizen_outcome.z_star == 100.0
         capped = evaluate_mechanism(scenario, [Policy("gathering_cap", limit=5)], MODEL)
-        outcome = capped.citizen_outcome
-        assert outcome.group_size == 5.0
-        assert outcome.duration == pytest.approx(20.0)
-        assert outcome.z_star == pytest.approx(unbound.citizen_outcome.z_star)
+        assert capped.citizen_outcome.decision is Decision.GO
+        assert capped.citizen_outcome.z_star == 5.0
+        assert capped.expected_infections < unbound.expected_infections
+        # the designer pays the benefit the cap takes away: n * (B(100) - B(5))
+        assert capped.suppressed_benefit == 1000 * (1000.0 - 50.0)
+
+    def test_a_cap_at_z_min_fits_no_meeting(self):
+        scenario = _top_of_window_scenario().replace(meeting_domain=MeetingDomain(5, 100, 500))
+        capped = evaluate_mechanism(scenario, [Policy("gathering_cap", limit=5)], MODEL)
+        locked = evaluate_mechanism(scenario, [Policy("lockdown")], MODEL)
+        assert capped.citizen_outcome.decision is Decision.STAY
+        assert capped.replace(policies_applied=()) == locked.replace(policies_applied=())
 
     def test_non_binding_cap_changes_nothing_but_annotations(self):
         scenario = make_scenario()
         baseline = evaluate_mechanism(scenario, [], MODEL)
         capped = evaluate_mechanism(scenario, [Policy("gathering_cap", limit=10)], MODEL)
-        assert capped.citizen_outcome.group_size <= 10
-        assert capped.citizen_outcome.group_size == baseline.citizen_outcome.group_size
-        assert capped.social_cost == baseline.social_cost
-        assert capped.expected_infections == baseline.expected_infections
+        assert capped.citizen_outcome == baseline.citizen_outcome
+        assert capped.replace(policies_applied=()) == baseline
 
-    @given(st.integers(1, 40))
-    def test_reported_group_size_never_exceeds_the_cap(self, limit):
-        report = evaluate_mechanism(make_scenario(), [Policy("gathering_cap", limit=limit)], MODEL)
+    @given(st.integers(1, 120))
+    def test_reported_exposure_never_exceeds_the_cap(self, limit):
+        scenario = _top_of_window_scenario()
+        report = evaluate_mechanism(scenario, [Policy("gathering_cap", limit=limit)], MODEL)
         outcome = report.citizen_outcome
         if outcome.decision is Decision.GO:
-            assert outcome.group_size <= limit
+            assert scenario.meeting_domain.z_min <= outcome.z_star <= limit
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 50).map(float), st.floats(0.1, 50)),  # an integer z_min can equal a cap
+        st.floats(1, 50),
+        st.floats(0, 100),
+        st.floats(0, 10),
+        st.floats(0, 1.5),
+        st.integers(0, 110),
+    )
+    def test_a_cap_bounds_z_and_nothing_else(self, z_min, width, slope, intercept, share, limit):
+        # no home cost puts the free optimum at z_max for most stakes; the life
+        # value is a share of the stakes there, so citizens often go out
+        rho, m = 0.0077, 0.034
+        domain = MeetingDomain(z_min, min(100.0, z_min + width), 60)
+        benefit, cost = CostBenefitFunction.linear(slope, intercept), CostBenefitFunction.constant(0)
+        life = share * z_objective(domain.z_max, benefit, cost, rho, m)
+        scenario = make_scenario(
+            benefit_fn=benefit, cost_fn=cost, distancing=DistancingParams(3000, 500, m, life, rho),
+            meeting_domain=domain,
+        )
+        free = evaluate_mechanism(scenario, [], MODEL)
+        capped = evaluate_mechanism(scenario, [Policy("gathering_cap", limit=limit)] if limit else [], MODEL)
+        outcome = capped.citizen_outcome
+        if free.citizen_outcome.decision is Decision.STAY or limit == 0 or limit >= free.citizen_outcome.z_star:
+            # a cap at or above the free optimum leaves every aggregate bit-identical
+            assert outcome == free.citizen_outcome
+            assert [repr(getattr(capped, name)) for name in _AGGREGATES] == [
+                repr(getattr(free, name)) for name in _AGGREGATES
+            ]
+        elif limit <= z_min:
+            # no meeting fits the cap: the lockdown report
+            locked = evaluate_mechanism(scenario, [Policy("lockdown")], MODEL)
+            assert outcome == locked.citizen_outcome
+            assert [getattr(capped, name) for name in _AGGREGATES] == [
+                getattr(locked, name) for name in _AGGREGATES
+            ]
+        else:
+            # a binding cap re-optimizes on [z_min, k]
+            optimum = optimal_meeting(benefit, cost, rho, m, domain.replace(z_max=float(limit)))
+            if optimum.value > life:
+                assert (outcome.decision, outcome.z_star) == (Decision.GO, optimum.z_star)
+            else:
+                assert outcome.decision is Decision.STAY
 
     def test_infections_stay_within_the_population(self):
         report = evaluate_mechanism(make_scenario(), [], MODEL)

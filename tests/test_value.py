@@ -12,7 +12,6 @@ from epigames import (
     DesignerCostModel,
     DistancingParams,
     EfficiencyParams,
-    GroupMeeting,
     MaskCosts,
     MeetingDomain,
     Policy,
@@ -111,7 +110,6 @@ _VALID = [
     _DISTANCING,
     CostBenefitFunction.linear(10.0, 2.0),
     MeetingDomain(),
-    GroupMeeting(2.0, 3.0),
     *(sample_policy(kind) for kind in POLICY_KINDS),
     DesignerCostModel(1.0, 0.5, 0.25),
     Scenario(
