@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -170,8 +171,11 @@ def stay_home_decision(params: DistancingParams) -> StayHomeDecision:
     return StayHomeDecision(decision, threshold)
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def group_infection_probability(rho: float, z: float) -> float:
-    """Probability of catching the infection at exposure z > 0: 1 - (1 - rho)^z.
+    """Probability of catching the infection at a finite exposure z > 0: 1 - (1 - rho)^z.
 
     Computed as -expm1(z * log1p(-rho)), which keeps full relative precision
     where the direct form cancels: 1 - rho drops the low digits of a small
@@ -179,8 +183,10 @@ def group_infection_probability(rho: float, z: float) -> float:
     """
     if not 0 <= rho <= 1:
         raise ValueError(f"rho must be within [0, 1], got {rho}")
-    if z <= 0:
-        raise ValueError(f"exposure z must be positive, got {z}")
+    # one comparison refuses z <= 0, nan, the infinities and ints beyond every float
+    if not 0 < z <= _FLOAT_MAX:
+        shown = repr(z) if isinstance(z, float) or abs(z) <= _FLOAT_MAX else "an int too large for a float"
+        raise ValueError(f"exposure z must be positive and finite, got {shown}")
     return 1.0 if rho == 1 else -math.expm1(z * math.log1p(-rho))
 
 

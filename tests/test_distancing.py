@@ -158,6 +158,15 @@ class TestGroupInfectionProbability:
         with pytest.raises(ValueError, match="exposure z must be positive"):
             group_infection_probability(0.1, z)
 
+    @pytest.mark.parametrize(
+        "z", [math.nan, math.inf, -math.inf, 10**400, -(10**400)],
+        ids=["nan", "inf", "-inf", "10**400", "-10**400"],
+    )
+    def test_exposure_must_be_finite(self, z):
+        with pytest.raises(ValueError, match="^exposure z must be positive and finite, got ") as info:
+            group_infection_probability(0.1, z)
+        assert len(str(info.value)) < 80  # an oversized int is described, not printed
+
     @given(st.floats(-12, 0), st.floats(0.1, 100))
     def test_matches_a_50_digit_reference(self, log10_rho, z):
         # rho log-uniform in [1e-12, 1]: 1 - (1-rho)^z computed directly loses
