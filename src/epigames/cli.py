@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import sys
+from collections import deque
 from fractions import Fraction
 from typing import Callable
 
@@ -29,7 +30,7 @@ from .distancing import (
     z_objective,
 )
 from .errors import DomainError, FieldError, ScenarioError, VerificationError
-from .games import pure_nash_equilibria, restrict, solve
+from .games import solve
 from .masks import (
     HealthStatus,
     bayesian_expected_cost,
@@ -39,7 +40,7 @@ from .masks import (
     efficiency_expected_cost,
     pair_game,
 )
-from .policy import GATHERING_CAP, LOCKDOWN, MASK_MANDATE, compare_policies, designer_cost
+from .policy import GATHERING_CAP, LOCKDOWN, compare_policies, designer_cost
 from .scenario import ScenarioConfig, parse_scenario
 from .value import Value
 
@@ -380,23 +381,22 @@ def _cmd_curves(config: ScenarioConfig, opts: ReportOptions) -> str:
     return _render_rows(["z", "objective"], [[z, v] for z, v in series], opts)
 
 
-def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> str:
+def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> tuple[str, list[str]]:
     scenario = config.to_scenario()
     named_sets, model = config.require("policy_sets", "designer")
     ranked = compare_policies(scenario, [policies for _, policies in named_sets], model)
 
-    remaining = list(range(len(named_sets)))
-    warnings = [()] * len(named_sets)  # each set's policy warnings, in input order
+    # each set's names in file order; equal sets tie, so they rank in file order too
+    names: dict[tuple, deque[str]] = {}
+    for name, policies in named_sets:
+        names.setdefault(policies, deque()).append(name)
     rows = []
     for rank, (policies, report) in enumerate(ranked, start=1):
-        index = next(i for i in remaining if named_sets[i][1] == policies)
-        remaining.remove(index)
-        warnings[index] = report.warnings
         outcome = report.citizen_outcome
         rows.append(
             [
                 rank,
-                named_sets[index][0],
+                names[policies].popleft(),
                 "+".join(p.describe() for p in policies) or "(none)",
                 outcome.decision.value,
                 outcome.z_star,
@@ -414,15 +414,12 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> str:
         if keys != sorted(keys):
             mismatches.append("ranking is not sorted by designer then social cost")
         for policies, report in ranked:
-            recomputed = designer_cost(
-                report.expected_infections,
-                report.suppressed_benefit,
-                scenario.population,
-                report.policies_applied,
-                model,
+            # the printed columns in the same float operations
+            weighed = designer_cost(
+                report.expected_infections, report.testing_outlay, report.suppressed_benefit, model
             )
-            if recomputed != report.designer_cost:  # the same inputs in the same float operations
-                mismatches.append("designer cost disagrees with direct recomputation")
+            if weighed != report.designer_cost:
+                mismatches.append("designer cost disagrees with the weighted sum of its columns")
             if any(p.kind == LOCKDOWN for p in policies) and report.expected_infections != 0.0:
                 mismatches.append("lockdown produced nonzero expected infections")
             # a go set's z_star lies in [z_min, min(z_max, its caps)]; a lockdown is the cap 0
@@ -431,18 +428,12 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> str:
             z_star, domain = report.citizen_outcome.z_star, scenario.meeting_domain
             if z_star is not None and not domain.z_min <= z_star <= min([domain.z_max, *caps]):
                 mismatches.append(f"z_star {z_star} lies outside the window its gathering limit allows")
-            if any(p.kind == MASK_MANDATE for p in policies):
-                game = pair_game(
-                    HealthStatus.SUSCEPTIBLE, HealthStatus.SUSCEPTIBLE, scenario.mask_costs
-                )
-                restricted = restrict(game, ["out"], ["out"])
-                if oracle.enumerate_pure_ne(restricted) != pure_nash_equilibria(restricted):
-                    mismatches.append("restricted mandate game disagrees with enumeration")
         _fail_verify(mismatches)
 
-    for (name, _), texts in zip(named_sets, warnings):
-        for text in texts:
-            print(f"epigames: warning: [policies].{name}: {text}", file=sys.stderr)
+    warnings = {policies: report.warnings for policies, report in ranked}  # equal sets warn alike
+    in_file_order = [
+        f"[policies].{name}: {text}" for name, policies in named_sets for text in warnings[policies]
+    ]
     return _render_rows(
         [
             "rank",
@@ -458,10 +449,11 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> str:
         ],
         rows,
         opts,
-    )
+    ), in_file_order
 
 
-# subcommand -> (help line, handler), in the order --help lists them
+# subcommand -> (help line, handler), in the order --help lists them; a handler
+# returns the report, or the report and the warnings to print once it is written
 _COMMANDS = {
     "mask-basic": ("pair games with equilibria, social optima, and dominance", _cmd_mask_basic),
     "mask-bayesian": ("mask decision under unknown health status", _cmd_mask_bayesian),
@@ -493,6 +485,7 @@ def run(argv: list[str] | None = None) -> int:
                 return 1
             config = config.replace(meeting_domain=domain)
         report = _COMMANDS[args.command][1](config, opts)
+        report, warnings = (report, []) if isinstance(report, str) else report
     except ScenarioError as exc:
         print(f"epigames: scenario error: {exc}", file=sys.stderr)
         return 1
@@ -511,6 +504,8 @@ def run(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"epigames: cannot write {args.out}: {exc}", file=sys.stderr)
             return 1
+    for text in warnings:
+        print(f"epigames: warning: {text}", file=sys.stderr)
     return 0
 
 

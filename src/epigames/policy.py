@@ -1,8 +1,9 @@
 """Government-policy transformations and mechanism evaluation.
 
 Policies rewrite a scenario (mask prices, allowed actions, meeting limits,
-status disclosure); evaluation then runs the citizen games on the rewritten
-scenario and aggregates social and designer costs.
+status disclosure, testing spend); evaluation then runs the citizen games on
+the rewritten scenario and aggregates social and designer costs.  What each
+policy kind does and what it costs are decided here.
 
 Conventions used by the evaluation:
 
@@ -12,6 +13,12 @@ Conventions used by the evaluation:
   are priced at ``mask_costs.c_infection``.  Sunk costs of already-infected
   citizens are excluded (they are policy-independent).
 - Citizens who stay home bear ``cost_fn(z_min)``.
+- Testing spend accrues as each testing policy applies, in policy order:
+  n * per_test_cost for mass testing, traced_fraction * (n * per_test_cost)
+  for targeted testing.
+- The designer cost weighs three reported columns: weight_infection *
+  expected_infections + weight_test * testing_outlay + weight_economic *
+  suppressed_benefit.
 - A gathering cap k bounds the exposure: citizens optimize z over
   [z_min, min(z_max, k)], and stay home when k <= z_min.  A lockdown is the
   cap 0, which no meeting fits.  The benefit a cap suppresses,
@@ -147,6 +154,7 @@ class Scenario(Value):
     mask_mandate: bool = False
     revealed_fraction: float = 0.0
     gathering_limit: int | None = None  # the largest exposure allowed; 0 under lockdown
+    testing_outlay: float = 0.0  # the testing policies' spend so far
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -156,6 +164,8 @@ class Scenario(Value):
             raise ValueError(
                 f"revealed_fraction must be within [0, 1], got {self.revealed_fraction}"
             )
+        if self.testing_outlay < 0:
+            raise ValueError(f"testing_outlay must be non-negative, got {self.testing_outlay}")
 
 
 class DesignerCostModel(Value):
@@ -190,7 +200,6 @@ class MechanismReport(Value):
     designer_cost: float
     testing_outlay: float
     suppressed_benefit: float
-    policies_applied: tuple[Policy, ...]
     warnings: tuple[str, ...]
 
 
@@ -199,7 +208,8 @@ def apply_policy(scenario: Scenario, policy: Policy) -> Scenario:
 
     Stacking is left-to-right and keeps the smallest gathering limit, so a
     lockdown (limit 0) dominates any cap; a cap that a lockdown overrides is
-    kept only as an annotated warning.
+    kept only as an annotated warning.  A testing policy adds its spend to
+    ``testing_outlay``, and raises ``DomainError`` if the sum overflows.
     """
     applied = scenario.policies_applied + (policy,)
     if policy.kind == MASK_MANDATE:
@@ -224,37 +234,29 @@ def apply_policy(scenario: Scenario, policy: Policy) -> Scenario:
         if scenario.gathering_limit is not None:
             limit = min(scenario.gathering_limit, limit)
         return scenario.replace(gathering_limit=limit, policies_applied=applied, warnings=warnings)
+    # testing reveals statuses and is paid for: everyone's test, or the traced share
+    spend = scenario.population * policy.per_test_cost
     if policy.kind == MASS_TESTING:
-        return scenario.replace(revealed_fraction=1.0, policies_applied=applied)
-    # targeted testing: reveal at least the traced fraction
-    return scenario.replace(
-        revealed_fraction=max(scenario.revealed_fraction, policy.traced_fraction),
-        policies_applied=applied,
-    )
-
-
-def testing_outlay(policies: Sequence[Policy], population: int) -> float:
-    """Total testing spend: everyone for mass testing, the traced fraction otherwise."""
-    total = 0.0
-    for policy in policies:
-        if policy.kind == MASS_TESTING:
-            total += population * policy.per_test_cost
-        elif policy.kind == TARGETED_TESTING:
-            total += policy.traced_fraction * (population * policy.per_test_cost)
-    return total
+        revealed = 1.0
+    else:
+        revealed = max(scenario.revealed_fraction, policy.traced_fraction)
+        spend = policy.traced_fraction * spend
+    outlay = scenario.testing_outlay + spend
+    if not math.isfinite(outlay):
+        raise DomainError(f"testing_outlay is {outlay}: the scenario's magnitudes overflow a float")
+    return scenario.replace(revealed_fraction=revealed, testing_outlay=outlay, policies_applied=applied)
 
 
 def designer_cost(
     expected_infections: float,
+    testing_outlay: float,
     suppressed_benefit: float,
-    population: int,
-    policies: Sequence[Policy],
     model: DesignerCostModel,
 ) -> float:
-    """Weighted sum of expected infections, testing outlay, and lost benefit."""
+    """Weighted sum of a report's expected infections, testing outlay and suppressed benefit."""
     return (
         model.weight_infection * expected_infections
-        + model.weight_test * testing_outlay(policies, population)
+        + model.weight_test * testing_outlay
         + model.weight_economic * suppressed_benefit
     )
 
@@ -345,19 +347,14 @@ def evaluate_mechanism(
     aggregates = {
         "expected_infections": infections,
         "social_cost": social,
-        "designer_cost": designer_cost(infections, suppressed, n, s.policies_applied, model),
-        "testing_outlay": testing_outlay(s.policies_applied, n),
+        "designer_cost": designer_cost(infections, s.testing_outlay, suppressed, model),
+        "testing_outlay": s.testing_outlay,
         "suppressed_benefit": suppressed,
     }
     for name, value in aggregates.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} is {value}: the scenario's magnitudes overflow a float")
-    return MechanismReport(
-        citizen_outcome=outcome,
-        policies_applied=s.policies_applied,
-        warnings=s.warnings,
-        **aggregates,
-    )
+    return MechanismReport(citizen_outcome=outcome, warnings=s.warnings, **aggregates)
 
 
 def compare_policies(

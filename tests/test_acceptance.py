@@ -42,7 +42,6 @@ from epigames import (
     restrict,
     social_optima,
     stay_home_decision,
-    testing_outlay as compute_testing_outlay,
     z_objective,
 )
 from epigames.games import ActionSet, CostTable
@@ -259,10 +258,11 @@ def test_criterion_9_policy_layer_guarantees():
         population = rng.randrange(2, 10_000)
         per_test = rng.uniform(0, 500)
         fraction = rng.random()
-        mass = compute_testing_outlay([Policy("mass_testing", per_test_cost=per_test)], population)
-        targeted = compute_testing_outlay(
-            [Policy("targeted_testing", per_test_cost=per_test, traced_fraction=fraction)], population
-        )
+        sized = scenario.replace(population=population)
+        mass = apply_policy(sized, Policy("mass_testing", per_test_cost=per_test)).testing_outlay
+        targeted = apply_policy(
+            sized, Policy("targeted_testing", per_test_cost=per_test, traced_fraction=fraction)
+        ).testing_outlay
         assert targeted == fraction * mass
     report(9, "mandate, subsidy, cap, lockdown, and testing guarantees all hold")
 

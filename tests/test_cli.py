@@ -540,6 +540,17 @@ def test_overflowing_aggregate_exits_two_naming_it(tmp_path, capsys):
     )
 
 
+def test_overflowing_testing_spend_exits_two_naming_it(tmp_path, capsys):
+    # each test's price is finite, but the population's tests are not
+    edits = [("policies", "baseline", "mass_testing per_test_cost=1e306")]
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    code, out, err = run_cli(capsys, "policy-compare", "--scenario", path, "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == (
+        "epigames: domain error: testing_outlay is inf: the scenario's magnitudes overflow a float\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, edits, message",
     [
@@ -877,6 +888,43 @@ def test_policy_warnings_go_to_stderr_in_input_order(tmp_path, capsys):
     )
 
 
+def test_equal_sets_keep_file_order_in_names_and_warnings(tmp_path, capsys):
+    # rising subsidies rank in reverse file order; the three lockdowns tie, so the
+    # two equal sets among them take their names in file order
+    warned = "lockdown, gathering_cap limit=5"
+    policies = [("first", "free_masks subsidy=1"), ("twin", warned), ("second", "free_masks subsidy=2"),
+                ("twin_again", warned), ("third", "free_masks subsidy=3"),
+                ("other", "gathering_cap limit=10, lockdown")]
+    text = BASELINE_FILE.read_text(encoding="utf-8").split("[policies]")[0]
+    text += "[policies]\n" + "".join(f"{name} = {sets}\n" for name, sets in policies)
+    text += "[designer]\nweight_infection = 10000\nweight_test = 1\nweight_economic = 1\n"
+    path = tmp_path / "repeated.ini"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "policy-compare", "--scenario", str(path), "--format", "csv", "--verify")
+    assert code == 0
+    assert [row[1] for row in parse_csv(out)[1:]] == ["third", "second", "first", "twin", "twin_again", "other"]
+    assert err == (
+        "epigames: warning: [policies].twin: gathering_cap has no effect under lockdown"
+        " (stricter policy wins)\n"
+        "epigames: warning: [policies].twin_again: gathering_cap has no effect under lockdown"
+        " (stricter policy wins)\n"
+        "epigames: warning: [policies].other: lockdown overrides gathering_cap"
+        " (stricter policy wins)\n"
+    )
+
+
+def test_an_unwritable_out_exits_one_with_one_line_and_no_warning(tmp_path, capsys):
+    edits = [("policies", "locked", "lockdown, gathering_cap limit=5")]
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, "policy-compare", "--scenario", path, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"epigames: cannot write {target}: ") and err.count("\n") == 1
+    # written, the same report warns
+    code, _, err = run_cli(capsys, "policy-compare", "--scenario", path, "--out", str(tmp_path / "report.txt"))
+    assert code == 0 and err.startswith("epigames: warning: [policies].locked: ")
+
+
 def _policy_rows(tmp_path, capsys, edits, policies):
     """policy-compare --format csv --verify on the bundled scenario with ``edits`` and only
     the ``policies`` sets; returns the rows by set name."""
@@ -930,6 +978,26 @@ def test_policy_compare_verify_rejects_a_z_star_above_its_cap(capsys, monkeypatc
     code, _, err = run_cli(capsys, "policy-compare", "--scenario", str(BASELINE_FILE), "--verify")
     assert code == 3
     assert "z_star 11.0 lies outside the window its gathering limit allows" in err
+
+
+def test_policy_compare_verify_rejects_a_designer_cost_off_its_columns(capsys, monkeypatch):
+    real = cli.compare_policies
+
+    def one_ulp_dearer(scenario, policy_sets, model):
+        return [
+            (policies, report.replace(designer_cost=math.nextafter(report.designer_cost, math.inf)))
+            for policies, report in real(scenario, policy_sets, model)
+        ]
+
+    monkeypatch.setattr(cli, "compare_policies", one_ulp_dearer)
+    code, out, err = run_cli(capsys, "policy-compare", "--scenario", str(BASELINE_FILE), "--verify")
+    assert (code, out) == (3, "")
+    assert err == (
+        "epigames: verification mismatch: "
+        + "; ".join(["designer cost disagrees with the weighted sum of its columns"] * 8) + "\n"
+    )
+    monkeypatch.undo()
+    assert run_cli(capsys, "policy-compare", "--scenario", str(BASELINE_FILE), "--verify")[0] == 0
 
 
 @pytest.mark.parametrize(

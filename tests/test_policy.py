@@ -10,6 +10,7 @@ from epigames import (
     Decision,
     DesignerCostModel,
     DistancingParams,
+    DomainError,
     EfficiencyParams,
     HealthStatus,
     MaskCosts,
@@ -26,7 +27,6 @@ from epigames import (
     pair_game,
     pure_nash_equilibria,
     restrict,
-    testing_outlay as compute_testing_outlay,
     z_objective,
 )
 from epigames.policy import POLICY_KINDS, POLICY_PARAMS
@@ -156,8 +156,8 @@ class TestApplyPolicy:
             "free_masks": {"mask_costs"},
             "gathering_cap": {"gathering_limit"},
             "lockdown": {"gathering_limit"},
-            "mass_testing": {"revealed_fraction"},
-            "targeted_testing": {"revealed_fraction"},
+            "mass_testing": {"revealed_fraction", "testing_outlay"},
+            "targeted_testing": {"revealed_fraction", "testing_outlay"},
         }
         for policy in policies:
             transformed = apply_policy(scenario, policy)
@@ -227,35 +227,67 @@ class TestApplyPolicy:
 
 class TestTestingOutlay:
     def test_mass_testing_pays_for_everyone(self):
-        assert compute_testing_outlay([Policy("mass_testing", per_test_cost=50.0)], 1000) == 50_000.0
+        tested = apply_policy(make_scenario(), Policy("mass_testing", per_test_cost=50.0))
+        assert tested.testing_outlay == 50_000.0
 
     def test_targeted_outlay_is_the_traced_share_of_mass(self):
-        mass = compute_testing_outlay([Policy("mass_testing", per_test_cost=50.0)], 1000)
-        targeted = compute_testing_outlay(
-            [Policy("targeted_testing", per_test_cost=50.0, traced_fraction=0.1)], 1000
+        mass = apply_policy(make_scenario(), Policy("mass_testing", per_test_cost=50.0))
+        targeted = apply_policy(
+            make_scenario(), Policy("targeted_testing", per_test_cost=50.0, traced_fraction=0.1)
         )
-        assert targeted == 0.1 * mass
+        assert targeted.testing_outlay == 0.1 * mass.testing_outlay
 
     def test_non_testing_policies_cost_nothing(self):
-        assert compute_testing_outlay([Policy("lockdown"), Policy("mask_mandate")], 1000) == 0.0
+        for kind in ("mask_mandate", "free_masks", "gathering_cap", "lockdown"):
+            assert apply_policy(make_scenario(), sample_policy(kind)).testing_outlay == 0.0
+        report = evaluate_mechanism(make_scenario(), [Policy("lockdown"), Policy("mask_mandate")], MODEL)
+        assert report.testing_outlay == 0.0
+
+    def test_stacked_testing_accrues_each_spend_in_policy_order(self):
+        mass = Policy("mass_testing", per_test_cost=0.1)
+        traced = Policy("targeted_testing", per_test_cost=0.3, traced_fraction=0.7)
+        n = make_scenario().population
+        for policies, spends in (
+            ([mass, traced, mass], [n * 0.1, 0.7 * (n * 0.3), n * 0.1]),
+            ([traced, mass, traced], [0.7 * (n * 0.3), n * 0.1, 0.7 * (n * 0.3)]),
+        ):
+            expected = 0.0
+            for spend in spends:
+                expected += spend
+            report = evaluate_mechanism(make_scenario(), policies, MODEL)
+            assert report.testing_outlay == expected  # the same float sums, left to right
+            assert report.citizen_outcome.unrevealed_action is None  # mass testing reveals all
+
+    def test_scenario_refuses_a_negative_outlay(self):
+        with pytest.raises(ValueError, match="testing_outlay must be non-negative, got -1.0"):
+            make_scenario(testing_outlay=-1.0)
+
+    def test_an_overflowing_spend_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^testing_outlay is inf: "):
+            apply_policy(make_scenario(), Policy("mass_testing", per_test_cost=1e306))
 
 
 class TestDesignerCost:
     def test_zero_weights_zero_cost(self):
-        model = DesignerCostModel(0, 0, 0)
-        assert designer_cost(5.0, 100.0, 1000, [Policy("mass_testing", per_test_cost=50.0)], model) == 0.0
+        assert designer_cost(5.0, 50_000.0, 100.0, DesignerCostModel(0, 0, 0)) == 0.0
 
     def test_linear_in_each_weight(self):
-        policies = [Policy("mass_testing", per_test_cost=2.0)]
-        base = designer_cost(3.0, 7.0, 100, policies, DesignerCostModel(1, 1, 1))
-        outlay = compute_testing_outlay(policies, 100)
+        base = designer_cost(3.0, 200.0, 7.0, DesignerCostModel(1, 1, 1))
         per_weight = {
             DesignerCostModel(2, 1, 1): 3.0,
-            DesignerCostModel(1, 2, 1): outlay,
+            DesignerCostModel(1, 2, 1): 200.0,
             DesignerCostModel(1, 1, 2): 7.0,
         }
         for model, delta in per_weight.items():
-            assert designer_cost(3.0, 7.0, 100, policies, model) - base == pytest.approx(delta)
+            assert designer_cost(3.0, 200.0, 7.0, model) - base == pytest.approx(delta)
+
+    def test_a_report_weighs_its_own_columns(self):
+        policies = [Policy("mass_testing", per_test_cost=2.0), Policy("gathering_cap", limit=5)]
+        report = evaluate_mechanism(_top_of_window_scenario(), policies, MODEL)
+        assert report.testing_outlay > 0 and report.suppressed_benefit > 0
+        assert report.designer_cost == designer_cost(
+            report.expected_infections, report.testing_outlay, report.suppressed_benefit, MODEL
+        )
 
     def test_weights_must_be_non_negative(self):
         with pytest.raises(ValueError, match="weight_test"):
@@ -266,7 +298,7 @@ class TestEvaluateMechanism:
     def test_empty_policy_list_is_the_unpoliced_baseline(self):
         scenario = make_scenario()
         report = evaluate_mechanism(scenario, [], MODEL)
-        assert report.policies_applied == ()
+        assert report.warnings == ()
         assert report.citizen_outcome.decision is Decision.GO
         assert report.testing_outlay == 0.0
         assert report == evaluate_mechanism(scenario, [], MODEL)
@@ -372,14 +404,14 @@ class TestEvaluateMechanism:
         capped = evaluate_mechanism(scenario, [Policy("gathering_cap", limit=5)], MODEL)
         locked = evaluate_mechanism(scenario, [Policy("lockdown")], MODEL)
         assert capped.citizen_outcome.decision is Decision.STAY
-        assert capped.replace(policies_applied=()) == locked.replace(policies_applied=())
+        assert capped == locked
 
     def test_non_binding_cap_changes_nothing_but_annotations(self):
         scenario = make_scenario()
         baseline = evaluate_mechanism(scenario, [], MODEL)
         capped = evaluate_mechanism(scenario, [Policy("gathering_cap", limit=10)], MODEL)
         assert capped.citizen_outcome == baseline.citizen_outcome
-        assert capped.replace(policies_applied=()) == baseline
+        assert capped == baseline
 
     @given(st.integers(1, 120))
     def test_reported_exposure_never_exceeds_the_cap(self, limit):
