@@ -1,4 +1,7 @@
-"""Shared exception types for the toolkit, and the quoting of input in their messages."""
+"""Shared exception types for the toolkit, the quoting of input in their messages,
+and the readers of numbers in input text, whose errors say what they expected."""
+
+import sys
 
 _ECHO_CHARS = 40  # the most characters of an input's text that an error line repeats
 
@@ -9,6 +12,23 @@ def echo(raw: str) -> str:
     if len(raw) <= _ECHO_CHARS:
         return repr(raw)
     return f"{raw[:_ECHO_CHARS]!r}... ({len(raw)} characters)"
+
+
+def read_number(raw: str, name: str = "") -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"expected a number{name and ' for '}{name}, got {echo(raw)}") from None
+
+
+def read_integer(raw: str, name: str = "") -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        # from 3.10.7 on, int() refuses a text of more digits than a limit, 4,300 by default
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        size = f" of at most {limit} digits" if limit and len(raw) > limit else ""
+        raise ValueError(f"expected an integer{size}{name and ' for '}{name}, got {echo(raw)}") from None
 
 
 class DomainError(ValueError):

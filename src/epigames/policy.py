@@ -24,6 +24,8 @@ Conventions used by the evaluation:
   cap 0, which no meeting fits.  The benefit a cap suppresses,
   n * (B(z_free) - B(z)) with B = 0 at home, is charged to the designer, not
   to social cost.
+- ``evaluate_mechanism`` warns, in policy order, of each lockdown after a cap
+  and each cap after a lockdown in the set; ``apply_policy`` keeps no history.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .distancing import (
     extended_go_decision,
     group_infection_probability,
 )
-from .errors import DomainError, FieldError, echo
+from .errors import DomainError, FieldError, echo, read_integer, read_number
 from .masks import (
     ACTION_IN,
     ACTION_NO,
@@ -119,14 +121,14 @@ class Policy(Value):
     def parse(cls, text: str) -> "Policy":
         """The policy of an ``encode()`` text: its kind, then name=value per parameter."""
         kind, *tokens = text.split() or [""]
-        given = dict(token.partition("=")[::2] for token in tokens)  # name -> value text
+        given: dict[str, str] = {}  # name -> value text
+        for name, _, raw in (token.partition("=") for token in tokens):
+            if name in given:
+                raise ValueError(f"repeated parameter {echo(name)}")
+            given[name] = raw
         _check_params(kind, given)  # here too: a name that is no field fails in the constructor
-        params: dict[str, float | int] = {}
-        for name, raw in given.items():
-            try:
-                params[name] = int(raw) if name == "limit" else float(raw)
-            except ValueError:
-                raise ValueError(f"expected a number for {name}, got {echo(raw)}") from None
+        params = {name: (read_integer if name == "limit" else read_number)(raw, name)
+                  for name, raw in given.items()}
         return cls(kind, **params)
 
     def describe(self) -> str:
@@ -140,7 +142,7 @@ class Policy(Value):
 
 
 class Scenario(Value):
-    """Full input bundle for one what-if evaluation, plus policy annotations."""
+    """Full input bundle for one what-if evaluation, in the world its policies produce."""
 
     mask_costs: MaskCosts
     efficiency: EfficiencyParams
@@ -150,12 +152,10 @@ class Scenario(Value):
     cost_fn: CostBenefitFunction
     meeting_domain: MeetingDomain
     population: int
-    policies_applied: tuple[Policy, ...] = ()
     mask_mandate: bool = False
     revealed_fraction: float = 0.0
     gathering_limit: int | None = None  # the largest exposure allowed; 0 under lockdown
     testing_outlay: float = 0.0  # the testing policies' spend so far
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.population < 2:
@@ -204,36 +204,26 @@ class MechanismReport(Value):
 
 
 def apply_policy(scenario: Scenario, policy: Policy) -> Scenario:
-    """Rewrite the scenario under one policy, annotating it as applied.
+    """Rewrite the scenario under one policy, recording no history and warning of nothing.
 
     Stacking is left-to-right and keeps the smallest gathering limit, so a
-    lockdown (limit 0) dominates any cap; a cap that a lockdown overrides is
-    kept only as an annotated warning.  A testing policy adds its spend to
+    lockdown (limit 0) dominates any cap.  A testing policy adds its spend to
     ``testing_outlay``, and raises ``DomainError`` if the sum overflows.
     """
-    applied = scenario.policies_applied + (policy,)
     if policy.kind == MASK_MANDATE:
-        return scenario.replace(mask_mandate=True, policies_applied=applied)
+        return scenario.replace(mask_mandate=True)
     if policy.kind == FREE_MASKS:
         costs = scenario.mask_costs
         subsidized = costs.replace(
             c_use=max(0.0, costs.c_use - policy.subsidy),
             c_out=max(0.0, costs.c_out - policy.subsidy),
         )
-        return scenario.replace(mask_costs=subsidized, policies_applied=applied)
+        return scenario.replace(mask_costs=subsidized)
     if policy.kind in (GATHERING_CAP, LOCKDOWN):
-        warnings = scenario.warnings
-        if policy.kind == LOCKDOWN:
-            limit = 0
-            if any(p.kind == GATHERING_CAP for p in scenario.policies_applied):
-                warnings += ("lockdown overrides gathering_cap (stricter policy wins)",)
-        else:
-            limit = policy.limit
-            if scenario.gathering_limit == 0:
-                warnings += ("gathering_cap has no effect under lockdown (stricter policy wins)",)
+        limit = 0 if policy.kind == LOCKDOWN else policy.limit
         if scenario.gathering_limit is not None:
             limit = min(scenario.gathering_limit, limit)
-        return scenario.replace(gathering_limit=limit, policies_applied=applied, warnings=warnings)
+        return scenario.replace(gathering_limit=limit)
     # testing reveals statuses and is paid for: everyone's test, or the traced share
     spend = scenario.population * policy.per_test_cost
     if policy.kind == MASS_TESTING:
@@ -244,7 +234,7 @@ def apply_policy(scenario: Scenario, policy: Policy) -> Scenario:
     outlay = scenario.testing_outlay + spend
     if not math.isfinite(outlay):
         raise DomainError(f"testing_outlay is {outlay}: the scenario's magnitudes overflow a float")
-    return scenario.replace(revealed_fraction=revealed, testing_outlay=outlay, policies_applied=applied)
+    return scenario.replace(revealed_fraction=revealed, testing_outlay=outlay)
 
 
 def designer_cost(
@@ -283,7 +273,14 @@ def evaluate_mechanism(
     out-mask).  Raises ``DomainError`` naming any aggregate that overflows.
     """
     s = scenario
+    warnings = []
+    kinds = set()  # the kinds of the set's policies applied so far
     for policy in policies:
+        if policy.kind == LOCKDOWN and GATHERING_CAP in kinds:
+            warnings.append("lockdown overrides gathering_cap (stricter policy wins)")
+        if policy.kind == GATHERING_CAP and LOCKDOWN in kinds:
+            warnings.append("gathering_cap has no effect under lockdown (stricter policy wins)")
+        kinds.add(policy.kind)
         s = apply_policy(s, policy)
 
     d = s.distancing
@@ -354,7 +351,7 @@ def evaluate_mechanism(
     for name, value in aggregates.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} is {value}: the scenario's magnitudes overflow a float")
-    return MechanismReport(citizen_outcome=outcome, warnings=s.warnings, **aggregates)
+    return MechanismReport(citizen_outcome=outcome, warnings=tuple(warnings), **aggregates)
 
 
 def compare_policies(

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import configparser
 import io
-import sys
 from pathlib import Path
 from typing import Callable
 
 from .distancing import CostBenefitFunction, DistancingParams, MeetingDomain
-from .errors import FieldError, ScenarioError, echo
+from .errors import FieldError, ScenarioError, echo, read_integer, read_number
 from .masks import BayesianSetting, EfficiencyParams, MaskCosts
 from .policy import DesignerCostModel, Policy, Scenario
 from .value import Value
@@ -62,27 +61,10 @@ MAX_SCENARIO_BYTES = 1 << 20
 
 # The readers turn a key's text into its value and raise ValueError when they
 # cannot; the value types then check every range rule but the two below.
-def _number(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"expected a number, got {echo(raw)}") from None
-
-
-def _integer(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        # from 3.10.7 on, int() refuses a text of more digits than a limit, 4,300 by default
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        size = f" of at most {limit} digits" if limit and len(raw) > limit else ""
-        raise ValueError(f"expected an integer{size}, got {echo(raw)}") from None
-
-
 def _price(raw: str) -> float:
     # MaskCosts accepts a zero c_out or c_use, which a free_masks subsidy can reach,
     # but a scenario file gives market prices
-    value = _number(raw)
+    value = read_number(raw)
     if value <= 0:
         raise ValueError(f"must be > 0, got {echo(raw)}")
     return value
@@ -90,7 +72,7 @@ def _price(raw: str) -> float:
 
 def _population(raw: str) -> int:
     # no value type holds the population until to_scenario builds a Scenario
-    value = _integer(raw)
+    value = read_integer(raw)
     if value < 2:
         raise ValueError(f"must be >= 2, got {echo(raw)}")
     return value
@@ -114,35 +96,35 @@ def _read(read: Callable[[str], object], raw: str, section: str, key: str) -> ob
 _SECTIONS: dict[str, dict[str, tuple[str, str | None, Callable[[str], object]]] | None] = {
     "mask": {
         "c_out": ("mask_costs", "c_out", _price),
-        "c_in": ("mask_costs", "c_in", _number),
+        "c_in": ("mask_costs", "c_in", read_number),
         "c_use": ("mask_costs", "c_use", _price),
-        "c_infection": ("mask_costs", "c_infection", _number),
-        "a": ("efficiency", "a", _number),
-        "b": ("efficiency", "b", _number),
+        "c_infection": ("mask_costs", "c_infection", read_number),
+        "a": ("efficiency", "a", read_number),
+        "b": ("efficiency", "b", read_number),
     },
-    "bayesian": {"rho": ("bayesian", "rho", _number), "p1": ("bayesian", "p1", _number)},
+    "bayesian": {"rho": ("bayesian", "rho", read_number), "p1": ("bayesian", "p1", read_number)},
     "distancing": {
-        "B": ("distancing", "benefit", _number),
-        "C": ("distancing", "home_cost", _number),
-        "m": ("distancing", "mortality", _number),
-        "L": ("distancing", "life_value", _number),
-        "rho": ("distancing", "infection_prob", _number),
+        "B": ("distancing", "benefit", read_number),
+        "C": ("distancing", "home_cost", read_number),
+        "m": ("distancing", "mortality", read_number),
+        "L": ("distancing", "life_value", read_number),
+        "rho": ("distancing", "infection_prob", read_number),
     },
     "functions": {
         "benefit": ("benefit_fn", None, CostBenefitFunction.parse),
         "cost": ("cost_fn", None, CostBenefitFunction.parse),
     },
     "meeting": {
-        "z_min": ("meeting_domain", "z_min", _number),
-        "z_max": ("meeting_domain", "z_max", _number),
-        "grid_steps": ("meeting_domain", "grid_steps", _integer),
+        "z_min": ("meeting_domain", "z_min", read_number),
+        "z_max": ("meeting_domain", "z_max", read_number),
+        "grid_steps": ("meeting_domain", "grid_steps", read_integer),
     },
     "population": {"n": ("population", None, _population)},
     "policies": None,
     "designer": {
-        "weight_infection": ("designer", "weight_infection", _number),
-        "weight_test": ("designer", "weight_test", _number),
-        "weight_economic": ("designer", "weight_economic", _number),
+        "weight_infection": ("designer", "weight_infection", read_number),
+        "weight_test": ("designer", "weight_test", read_number),
+        "weight_economic": ("designer", "weight_economic", read_number),
     },
 }
 

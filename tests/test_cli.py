@@ -380,6 +380,27 @@ def test_long_number_text_exits_one_with_a_short_line(tmp_path, capsys, section,
         assert "5001 characters" in err
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        "1.0",
+        "1e3",
+        pytest.param("1" + "0" * 5000, id="5001-digits",
+                     marks=pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() reads any length")),
+    ],
+)
+def test_a_gathering_limit_is_read_as_the_population_is(tmp_path, capsys, value):
+    population = _run_with(tmp_path, capsys, "population", "n", value)
+    limit = _run_with(tmp_path, capsys, "policies", "c", f"gathering_cap limit={value}")
+    _assert_one_line_scenario_error(*limit, ("[policies].c: expected an integer",))
+    assert limit[2].replace("[policies].c", "[population].n").replace(" for limit", "") == population[2]
+
+
+def test_a_repeated_policy_parameter_exits_one_naming_it(tmp_path, capsys):
+    result = _run_with(tmp_path, capsys, "policies", "c", "free_masks subsidy=1 subsidy=500")
+    _assert_one_line_scenario_error(*result, ("[policies].c: repeated parameter 'subsidy'",))
+
+
 LONG = "y" * 5000
 
 

@@ -125,7 +125,8 @@ class TestPolicyType:
             ("lockdown level=9", "requires no parameters; does not take 'level'"),
             ("free_masks", "requires subsidy; missing subsidy"),
             ("free_masks subsidy", "expected a number for subsidy, got ''"),
-            ("gathering_cap limit=2.5", "expected a number for limit"),
+            ("gathering_cap limit=2.5", "expected an integer for limit, got '2.5'"),
+            ("free_masks subsidy=1 subsidy=500", "repeated parameter 'subsidy'"),
             ("free_masks subsidy=-1", "subsidy must be non-negative"),
         ],
     )
@@ -161,9 +162,8 @@ class TestApplyPolicy:
         }
         for policy in policies:
             transformed = apply_policy(scenario, policy)
-            assert transformed.policies_applied == (policy,)
             for field in Scenario._fields:
-                if field in touched[policy.kind] | {"policies_applied", "warnings"}:
+                if field in touched[policy.kind]:
                     continue
                 assert getattr(transformed, field) == getattr(scenario, field), (
                     f"{policy.kind} touched unrelated field {field}"
@@ -200,22 +200,53 @@ class TestApplyPolicy:
         assert scenario.gathering_limit == 10
 
     def test_lockdown_and_cap_warn_in_either_order(self):
-        first = apply_policy(
-            apply_policy(make_scenario(), Policy("lockdown")), Policy("gathering_cap", limit=5)
-        )
-        second = apply_policy(
-            apply_policy(make_scenario(), Policy("gathering_cap", limit=5)), Policy("lockdown")
-        )
-        for scenario in (first, second):
+        for policies in (
+            [Policy("lockdown"), Policy("gathering_cap", limit=5)],
+            [Policy("gathering_cap", limit=5), Policy("lockdown")],
+        ):
+            scenario = apply_policy(apply_policy(make_scenario(), policies[0]), policies[1])
             assert scenario.gathering_limit == 0  # a lockdown is the cap no meeting fits
-            assert len(scenario.warnings) == 1
-            assert "stricter policy wins" in scenario.warnings[0]
+            warnings = evaluate_mechanism(make_scenario(), policies, MODEL).warnings
+            assert len(warnings) == 1
+            assert "stricter policy wins" in warnings[0]
 
     def test_each_lockdown_after_a_cap_warns(self):
+        policies = [Policy("gathering_cap", limit=5), Policy("lockdown"), Policy("lockdown")]
         scenario = make_scenario()
-        for policy in (Policy("gathering_cap", limit=5), Policy("lockdown"), Policy("lockdown")):
+        for policy in policies:
             scenario = apply_policy(scenario, policy)
-        assert scenario.warnings == ("lockdown overrides gathering_cap (stricter policy wins)",) * 2
+        assert scenario.gathering_limit == 0
+        assert evaluate_mechanism(make_scenario(), policies, MODEL).warnings == (
+            ("lockdown overrides gathering_cap (stricter policy wins)",) * 2
+        )
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.builds(Policy, st.just("gathering_cap"), limit=st.integers(1, 200)),
+                st.just(Policy("lockdown")),
+                st.just(Policy("mask_mandate")),
+            ),
+            max_size=8,
+        )
+    )
+    def test_stacking_warnings_and_limit_match_a_reference_on_prefixes(self, policies):
+        # the reference decides each policy from the prefix of the set that ends with it
+        scenario, expected_warnings = make_scenario(), []
+        for k, policy in enumerate(policies):
+            earlier = {p.kind for p in policies[:k]}
+            if policy.kind == "lockdown" and "gathering_cap" in earlier:
+                expected_warnings.append("lockdown overrides gathering_cap (stricter policy wins)")
+            if policy.kind == "gathering_cap" and "lockdown" in earlier:
+                expected_warnings.append(
+                    "gathering_cap has no effect under lockdown (stricter policy wins)"
+                )
+            limits = [0 if p.kind == "lockdown" else p.limit
+                      for p in policies[: k + 1] if p.kind != "mask_mandate"]
+            scenario = apply_policy(scenario, policy)
+            assert scenario.gathering_limit == (min(limits) if limits else None)
+        report = evaluate_mechanism(make_scenario(), policies, MODEL)
+        assert report.warnings == tuple(expected_warnings)
 
     def test_testing_policies_reveal_statuses(self):
         mass = Policy("mass_testing", per_test_cost=5.0)

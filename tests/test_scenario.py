@@ -254,7 +254,6 @@ class TestToScenario:
     def test_full_config_assembles(self, tmp_path):
         scenario = parse_scenario(write(tmp_path, FULL)).to_scenario()
         assert scenario.population == 1000
-        assert scenario.policies_applied == ()
 
     def test_incomplete_config_reports_missing_section(self, tmp_path):
         config = parse_scenario(write(tmp_path, "[bayesian]\nrho = 0.2\np1 = 0.3\n"))
