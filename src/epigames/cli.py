@@ -35,7 +35,6 @@ from .masks import (
     HealthStatus,
     bayesian_expected_cost,
     bayesian_mask_condition,
-    bayesian_best_p2,
     efficiency_analysis,
     efficiency_expected_cost,
     pair_game,
@@ -175,6 +174,9 @@ def _cmd_mask_basic(config: ScenarioConfig, opts: ReportOptions) -> str:
             exhaustive = [p for k, p in enumerate(game.profiles()) if sums[k] == floor]
             if exhaustive != list(report.social_optima):
                 mismatches.append(f"{name}: social optima disagree with exhaustive scan")
+            for player, dominant in ((1, report.dominant_p1), (2, report.dominant_p2)):
+                if oracle.enumerate_dominant(game, player) != list(dominant):
+                    mismatches.append(f"{name}: player {player}'s dominant actions disagree with enumeration")
         _fail_verify(mismatches)
 
     rows = []
@@ -211,7 +213,6 @@ def _cmd_mask_basic(config: ScenarioConfig, opts: ReportOptions) -> str:
 def _cmd_mask_bayesian(config: ScenarioConfig, opts: ReportOptions) -> str:
     costs, setting = config.require("mask_costs", "bayesian")
     condition = bayesian_mask_condition(setting, costs)
-    best = bayesian_best_p2(setting, costs)
     cost_no = bayesian_expected_cost(setting, 0.0, costs)
     cost_use = bayesian_expected_cost(setting, 1.0, costs)
     for name, value in (("expected_cost_no", cost_no), ("expected_cost_use", cost_use)):
@@ -226,7 +227,7 @@ def _cmd_mask_bayesian(config: ScenarioConfig, opts: ReportOptions) -> str:
         ):
             mismatches.append("expected cost is not affine in the wearing probability")
         exact_no, exact_use = (bayesian_expected_cost(exact_setting, p2, exact_costs) for p2 in (0, 1))
-        if (best == 1.0) != (exact_use < exact_no):
+        if condition.wear != (exact_use < exact_no):
             mismatches.append("boundary decision disagrees with endpoint costs")
         _fail_verify(mismatches)
 
@@ -240,7 +241,7 @@ def _cmd_mask_bayesian(config: ScenarioConfig, opts: ReportOptions) -> str:
             ("threshold", condition.price_threshold),
             ("expected_cost_no", cost_no),
             ("expected_cost_use", cost_use),
-            ("best_p2", best),
+            ("best_p2", 1.0 if condition.wear else 0.0),
             ("decision", "wear" if condition.wear else "skip"),
         ],
         opts,

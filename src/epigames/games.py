@@ -4,12 +4,13 @@ Entries are costs and are minimized: a profile is better for a player when
 her coordinate is smaller.  A table holds each entry as the ``Fraction`` it
 denotes, so the solvers compare costs exactly, return every tied solution and
 enumerate profiles in row-major order: output is deterministic and reproducible.
+An action is dominant, in the weak sense, when it is a best response to every
+opponent action: a tie with an alternative does not break dominance.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -89,11 +90,6 @@ class CostTable(Value):
         """Cost pair at profile (i, j)."""
         return self.costs[i][j]
 
-    def cost(self, player: int, i: int, j: int) -> Fraction:
-        """Cost of the given player at profile (i, j)."""
-        _check_player(player)
-        return self.costs[i][j][player - 1]
-
     def profiles(self) -> Iterator[StrategyProfile]:
         """All profiles in row-major order."""
         for i in range(self.n1):
@@ -132,9 +128,9 @@ def best_responses(game: CostTable, player: int, opponent_action: int) -> list[i
     if not 0 <= opponent_action < n_opp:
         raise ValueError(f"opponent action {opponent_action} out of range [0, {n_opp})")
     if player == 1:
-        own = [game.cost(1, a, opponent_action) for a in range(n_own)]
+        own = [game.costs[a][opponent_action][0] for a in range(n_own)]
     else:
-        own = [game.cost(2, opponent_action, a) for a in range(n_own)]
+        own = [game.costs[opponent_action][a][1] for a in range(n_own)]
     floor = min(own)
     return [a for a, c in enumerate(own) if c == floor]
 
@@ -153,25 +149,11 @@ def social_optima(game: CostTable) -> list[StrategyProfile]:
     return [p for p in game.profiles() if sums[p] == floor]
 
 
-def dominant_actions(game: CostTable, player: int, weak: bool = True) -> list[int]:
-    """Actions that minimize the player's cost against every opponent action.
-
-    Weak dominance allows ties; strict dominance requires the action to beat
-    every alternative in every column.
-    """
-    _check_player(player)
-    n_own = game.n1 if player == 1 else game.n2
+def dominant_actions(game: CostTable, player: int) -> list[int]:
+    """The actions that are a best response to every opponent action, in index order."""
     n_opp = game.n2 if player == 1 else game.n1
-
-    def own_cost(a: int, o: int) -> Fraction:
-        return game.cost(1, a, o) if player == 1 else game.cost(2, o, a)
-
-    beats = operator.le if weak else operator.lt
-    return [
-        a
-        for a in range(n_own)
-        if all(beats(own_cost(a, o), own_cost(b, o)) for o in range(n_opp) for b in range(n_own) if b != a)
-    ]
+    responses = [best_responses(game, player, o) for o in range(n_opp)]
+    return [a for a in responses[0] if all(a in r for r in responses)]
 
 
 def restrict(
@@ -198,7 +180,7 @@ def restrict(
 
 
 def solve(game: CostTable) -> SolutionReport:
-    """Full solution bundle with weak dominance (the reporting default)."""
+    """Full solution bundle: pure equilibria, social optima, each player's dominant actions."""
     return SolutionReport(
         pure_nash=tuple(pure_nash_equilibria(game)),
         social_optima=tuple(social_optima(game)),

@@ -160,20 +160,15 @@ class MaskCondition(NamedTuple):
 
 
 def bayesian_mask_condition(setting: BayesianSetting, costs: MaskCosts) -> MaskCondition:
-    """Wearing lowers the expected cost iff c_use < rho(1-rho)(1-p1) * c_infection."""
+    """Wearing lowers the expected cost iff c_use < rho(1-rho)(1-p1) * c_infection.
+
+    The cost is affine in the wearing probability, so the best probability is 1 when
+    ``wear`` holds and 0 otherwise: exact indifference resolves to no mask.
+    """
     rho, p1 = Fraction(setting.rho), Fraction(setting.p1)
     ratio = rho * (1 - rho) * (1 - p1)
     price = ratio * Fraction(costs.c_infection)  # at most c_infection / 4, so a float holds it
     return MaskCondition(float(ratio), Fraction(costs.c_use) < price, float(price))
-
-
-def bayesian_best_p2(setting: BayesianSetting, costs: MaskCosts) -> float:
-    """Optimal wearing probability: 1 if wearing pays off, else 0.
-
-    The expected cost is affine in p2, so the optimum sits on a boundary;
-    exact indifference resolves to 0 (no mask).
-    """
-    return 1.0 if bayesian_mask_condition(setting, costs).wear else 0.0
 
 
 def efficiency_expected_cost(p: float, eff: EfficiencyParams, costs: MaskCosts) -> float:

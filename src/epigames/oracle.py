@@ -39,6 +39,26 @@ def enumerate_pure_ne(game: CostTable) -> list[StrategyProfile]:
     return found
 
 
+def enumerate_dominant(game: CostTable, player: int) -> list[int]:
+    """Weakly dominant actions of ``player`` by the pairwise definition, in index order.
+
+    Independent of the best-response solver: an action qualifies when, against
+    every opponent action, it costs the player no more than each alternative.
+    """
+    if player not in (1, 2):
+        raise ValueError(f"player must be 1 or 2, got {player!r}")
+    n_own, n_opp = (game.n1, game.n2) if player == 1 else (game.n2, game.n1)
+
+    def own_cost(a: int, o: int) -> Fraction:
+        return game.costs[a][o][0] if player == 1 else game.costs[o][a][1]
+
+    return [
+        a
+        for a in range(n_own)
+        if all(own_cost(a, o) <= own_cost(b, o) for o in range(n_opp) for b in range(n_own))
+    ]
+
+
 class GridPoint(NamedTuple):
     x_star: float
     f_star: float

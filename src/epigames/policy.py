@@ -13,9 +13,10 @@ Conventions used by the evaluation:
   are priced at ``mask_costs.c_infection``.  Sunk costs of already-infected
   citizens are excluded (they are policy-independent).
 - Citizens who stay home bear ``cost_fn(z_min)``.
-- Testing spend accrues as each testing policy applies, in policy order:
-  n * per_test_cost for mass testing, traced_fraction * (n * per_test_cost)
-  for targeted testing.
+- A testing policy tests a fraction of the population, reveals that share's
+  statuses and adds fraction * (n * per_test_cost) to the outlay, in policy
+  order.  The fraction is traced_fraction for targeted testing; mass testing
+  is targeted testing of everyone, the fraction 1.
 - The designer cost weighs three reported columns: weight_infection *
   expected_infections + weight_test * testing_outlay + weight_economic *
   suppressed_benefit.
@@ -51,7 +52,7 @@ from .masks import (
     BayesianSetting,
     EfficiencyParams,
     MaskCosts,
-    bayesian_best_p2,
+    bayesian_mask_condition,
 )
 from .value import Value
 
@@ -224,14 +225,9 @@ def apply_policy(scenario: Scenario, policy: Policy) -> Scenario:
         if scenario.gathering_limit is not None:
             limit = min(scenario.gathering_limit, limit)
         return scenario.replace(gathering_limit=limit)
-    # testing reveals statuses and is paid for: everyone's test, or the traced share
-    spend = scenario.population * policy.per_test_cost
-    if policy.kind == MASS_TESTING:
-        revealed = 1.0
-    else:
-        revealed = max(scenario.revealed_fraction, policy.traced_fraction)
-        spend = policy.traced_fraction * spend
-    outlay = scenario.testing_outlay + spend
+    fraction = 1.0 if policy.kind == MASS_TESTING else policy.traced_fraction
+    revealed = max(scenario.revealed_fraction, fraction)
+    outlay = scenario.testing_outlay + fraction * (scenario.population * policy.per_test_cost)
     if not math.isfinite(outlay):
         raise DomainError(f"testing_outlay is {outlay}: the scenario's magnitudes overflow a float")
     return scenario.replace(revealed_fraction=revealed, testing_outlay=outlay)
@@ -317,7 +313,7 @@ def evaluate_mechanism(
         else:
             rs_action = ACTION_IN if rho_b > 0 else ACTION_NO
             ri_action = ACTION_NO
-            u_action = ACTION_USE if bayesian_best_p2(s.bayesian, costs) == 1.0 else ACTION_NO
+            u_action = ACTION_USE if bayesian_mask_condition(s.bayesian, costs).wear else ACTION_NO
 
         exposure = group_infection_probability(d.infection_prob, z_star)
 

@@ -26,7 +26,6 @@ from epigames import (
     Scenario,
     StrategyProfile,
     apply_policy,
-    bayesian_best_p2,
     bayesian_expected_cost,
     bayesian_mask_condition,
     cli,
@@ -79,8 +78,7 @@ def test_criterion_2_bayesian_threshold_flips_at_125():
     threshold = bayesian_mask_condition(setting, MaskCosts(1, 10, 1, 1000)).threshold
     assert abs(threshold * 1000 - 125.0) <= 1e-9
     assert wears(125.0 - 1e-6) and not wears(125.0) and not wears(125.0 + 1e-6)
-    assert bayesian_best_p2(setting, MaskCosts(1, 10, 124.999999, 1000)) == 1.0
-    assert bayesian_best_p2(setting, MaskCosts(1, 10, 125.0, 1000)) == 0.0
+    assert wears(124.999999) and not wears(125.0)
     report(2, "even-odds wear decision flips exactly at a mask price of 125")
 
 
@@ -240,7 +238,7 @@ def test_criterion_9_policy_layer_guarantees():
             Policy("free_masks", subsidy=scenario.mask_costs.c_use),
         )
         if risky:
-            assert bayesian_best_p2(setting, subsidized.mask_costs) == 1.0
+            assert bayesian_mask_condition(setting, subsidized.mask_costs).wear
 
     # a gathering cap never lets the reported exposure exceed the limit
     for limit in (1, 3, 10, 50):

@@ -1021,6 +1021,23 @@ def test_policy_compare_verify_rejects_a_designer_cost_off_its_columns(capsys, m
     assert run_cli(capsys, "policy-compare", "--scenario", str(BASELINE_FILE), "--verify")[0] == 0
 
 
+def test_mask_basic_verify_rejects_a_wrong_dominant_action_naming_the_game(capsys, monkeypatch):
+    real = cli.solve
+
+    def no_mask_dominant_for_player_one(game):
+        return real(game).replace(dominant_p1=(0,))  # true for two susceptibles or two infected
+
+    monkeypatch.setattr(cli, "solve", no_mask_dominant_for_player_one)
+    code, out, err = run_cli(capsys, "mask-basic", "--scenario", str(BASELINE_FILE), "--verify")
+    assert (code, out) == (3, "")
+    assert err == (
+        "epigames: verification mismatch:"
+        " one_infected: player 1's dominant actions disagree with enumeration\n"
+    )
+    monkeypatch.undo()
+    assert run_cli(capsys, "mask-basic", "--scenario", str(BASELINE_FILE), "--verify")[0] == 0
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--precision", "0"), ("--grid-steps", "0"), ("--grid-steps", "-3")]
 )

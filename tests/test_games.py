@@ -125,14 +125,10 @@ class TestSocialOptima:
 
 class TestDominance:
     def test_infected_player_weakly_prefers_no_mask(self):
-        assert dominant_actions(ONE_INFECTED, 2, weak=True) == [0]
+        assert dominant_actions(ONE_INFECTED, 2) == [0]
 
-    def test_no_mask_strictly_dominates_for_susceptible_pair(self):
-        assert dominant_actions(BOTH_SUSCEPTIBLE, 1, weak=False) == [0]
-
-    def test_flat_game_has_no_strict_but_all_weak_dominants(self):
-        assert dominant_actions(FLAT, 1, weak=False) == []
-        assert dominant_actions(FLAT, 1, weak=True) == [0, 1]
+    def test_tied_actions_are_all_dominant(self):
+        assert dominant_actions(FLAT, 1) == [0, 1]
 
 
 class TestBestResponses:
@@ -191,12 +187,10 @@ def test_social_optima_are_minimal(game):
         assert sum(game.pair(*profile)) <= best + 1e-9
 
 
-@given(small_cost_tables())
-def test_strict_dominance_implies_weak_dominance(game):
+@given(st.one_of(small_cost_tables(), small_cost_tables(max_costs=2)))  # few cost values, many ties
+def test_dominant_actions_agree_with_pairwise_enumeration(game):
     for player in (1, 2):
-        strict = set(dominant_actions(game, player, weak=False))
-        weak = set(dominant_actions(game, player, weak=True))
-        assert strict <= weak
+        assert dominant_actions(game, player) == oracle.enumerate_dominant(game, player)
 
 
 @given(small_cost_tables(), st.integers(1, 10**6).map(float), st.sampled_from([1, 2]))
@@ -214,5 +208,4 @@ def test_constant_shift_of_one_player_preserves_solutions(game, shift, player):
     )
     assert pure_nash_equilibria(shifted) == pure_nash_equilibria(game)
     for p in (1, 2):
-        for weak in (True, False):
-            assert dominant_actions(shifted, p, weak) == dominant_actions(game, p, weak)
+        assert dominant_actions(shifted, p) == dominant_actions(game, p)

@@ -13,7 +13,6 @@ from epigames import (
     HealthStatus,
     MaskCosts,
     StrategyProfile,
-    bayesian_best_p2,
     bayesian_expected_cost,
     bayesian_mask_condition,
     cli,
@@ -129,14 +128,14 @@ class TestBayesianCondition:
 
     def test_best_probability_sits_on_the_cheap_side(self):
         setting = BayesianSetting(0.5, 0.5)
-        assert bayesian_best_p2(setting, MaskCosts(1, 10, 100, 1000)) == 1.0
-        assert bayesian_best_p2(setting, MaskCosts(1, 10, 200, 1000)) == 0.0
-        assert bayesian_best_p2(BayesianSetting(0.0, 0.5), MaskCosts(1, 10, 100, 1000)) == 0.0
+        assert bayesian_mask_condition(setting, MaskCosts(1, 10, 100, 1000)).wear
+        assert not bayesian_mask_condition(setting, MaskCosts(1, 10, 200, 1000)).wear
+        assert not bayesian_mask_condition(BayesianSetting(0.0, 0.5), MaskCosts(1, 10, 100, 1000)).wear
 
     def test_exact_indifference_resolves_to_no_mask(self):
         # threshold is exactly 1/8, and 125/1000 is exactly 1/8 as well
         setting = BayesianSetting(0.5, 0.5)
-        assert bayesian_best_p2(setting, MaskCosts(1, 10, 125, 1000)) == 0.0
+        assert not bayesian_mask_condition(setting, MaskCosts(1, 10, 125, 1000)).wear
 
     @given(probabilities(), probabilities(), mask_costs_with_gaps())
     def test_decision_matches_endpoint_comparison(self, rho, p1, costs):
@@ -144,7 +143,7 @@ class TestBayesianCondition:
         at_one = bayesian_expected_cost(setting, 1.0, costs)
         at_zero = bayesian_expected_cost(setting, 0.0, costs)
         if abs(at_one - at_zero) > 1e-9:
-            assert (bayesian_best_p2(setting, costs) == 1.0) == (at_one < at_zero)
+            assert bayesian_mask_condition(setting, costs).wear == (at_one < at_zero)
 
 
 def efficiency_params(cap=1.0):

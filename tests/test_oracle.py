@@ -41,6 +41,25 @@ class TestEnumeratePureNe:
         assert oracle.enumerate_pure_ne(game) == [StrategyProfile(0, 0)]
 
 
+class TestEnumerateDominant:
+    def test_no_mask_dominates_for_a_susceptible_pair(self):
+        assert oracle.enumerate_dominant(BOTH_SUSCEPTIBLE, 1) == [0]
+        assert oracle.enumerate_dominant(BOTH_SUSCEPTIBLE, 2) == [0]
+
+    def test_cycling_game_has_no_dominant_action(self):
+        assert oracle.enumerate_dominant(CYCLING, 1) == []
+        assert oracle.enumerate_dominant(CYCLING, 2) == []
+
+    def test_ties_keep_every_tied_action(self):
+        flat = CostTable(ActionSet(("a", "b")), ActionSet(("x",)), (((5, 1),), ((5, 2),)))
+        assert oracle.enumerate_dominant(flat, 1) == [0, 1]
+        assert oracle.enumerate_dominant(flat, 2) == [0]
+
+    def test_player_must_be_one_or_two(self):
+        with pytest.raises(ValueError, match="player must be 1 or 2"):
+            oracle.enumerate_dominant(CYCLING, 0)
+
+
 class TestGridArgmin:
     def test_quadratic_minimum_found_within_one_step(self):
         point = oracle.grid_argmin(lambda x: x * x, -1.0, 1.0, 2001)

@@ -19,7 +19,7 @@ from epigames import (
     Scenario,
     StrategyProfile,
     apply_policy,
-    bayesian_best_p2,
+    bayesian_mask_condition,
     compare_policies,
     designer_cost,
     evaluate_mechanism,
@@ -184,7 +184,7 @@ class TestApplyPolicy:
         scenario = make_scenario(bayesian=BayesianSetting(rho, p1))
         transformed = apply_policy(scenario, Policy("free_masks", subsidy=scenario.mask_costs.c_use))
         if rho * (1 - rho) * (1 - p1) > 0:
-            assert bayesian_best_p2(transformed.bayesian, transformed.mask_costs) == 1.0
+            assert bayesian_mask_condition(transformed.bayesian, transformed.mask_costs).wear
 
     def test_mandate_restricts_the_pair_game_to_out(self):
         scenario = apply_policy(make_scenario(), Policy("mask_mandate"))
@@ -288,6 +288,38 @@ class TestTestingOutlay:
             report = evaluate_mechanism(make_scenario(), policies, MODEL)
             assert report.testing_outlay == expected  # the same float sums, left to right
             assert report.citizen_outcome.unrevealed_action is None  # mass testing reveals all
+
+    @settings(deadline=None)
+    @given(
+        st.integers(2, 10**6),
+        st.floats(0, 1e6),
+        probabilities(),
+        st.lists(
+            st.one_of(
+                st.sampled_from([Policy("mask_mandate"), Policy("lockdown")]),
+                st.builds(Policy, st.just("free_masks"), subsidy=st.floats(0, 200)),
+                st.builds(Policy, st.just("gathering_cap"), limit=st.integers(1, 200)),
+                st.builds(Policy, st.just("mass_testing"), per_test_cost=st.floats(0, 1e3)),
+                st.builds(
+                    Policy, st.just("targeted_testing"),
+                    per_test_cost=st.floats(0, 1e3), traced_fraction=probabilities(),
+                ),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_mass_testing_is_targeted_testing_of_everyone(self, n, per_test_cost, revealed, preceding):
+        mass = Policy("mass_testing", per_test_cost=per_test_cost)
+        full = Policy("targeted_testing", per_test_cost=per_test_cost, traced_fraction=1.0)
+        scenario = make_scenario(population=n, revealed_fraction=revealed)
+        before = scenario
+        for policy in preceding:
+            before = apply_policy(before, policy)
+        by_mass, by_full = apply_policy(before, mass), apply_policy(before, full)
+        assert by_mass == by_full
+        assert by_mass.testing_outlay.hex() == by_full.testing_outlay.hex()
+        assert (evaluate_mechanism(scenario, [*preceding, mass], MODEL)
+                == evaluate_mechanism(scenario, [*preceding, full], MODEL))
 
     def test_scenario_refuses_a_negative_outlay(self):
         with pytest.raises(ValueError, match="testing_outlay must be non-negative, got -1.0"):
