@@ -13,7 +13,6 @@ import csv
 import io
 import math
 import sys
-from collections import deque
 from fractions import Fraction
 from typing import Callable
 
@@ -39,7 +38,7 @@ from .masks import (
     efficiency_expected_cost,
     pair_game,
 )
-from .policy import GATHERING_CAP, LOCKDOWN, compare_policies, designer_cost
+from .policy import GATHERING_CAP, LOCKDOWN, designer_cost, evaluate_mechanism, rank
 from .scenario import ScenarioConfig, parse_scenario
 from .value import Value
 
@@ -385,19 +384,16 @@ def _cmd_curves(config: ScenarioConfig, opts: ReportOptions) -> str:
 def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> tuple[str, list[str]]:
     scenario = config.to_scenario()
     named_sets, model = config.require("policy_sets", "designer")
-    ranked = compare_policies(scenario, [policies for _, policies in named_sets], model)
+    reports = [evaluate_mechanism(scenario, policies, model) for _, policies in named_sets]
+    ranked = [(*named_sets[k], reports[k]) for k in rank(reports)]  # (name, policies, report)
 
-    # each set's names in file order; equal sets tie, so they rank in file order too
-    names: dict[tuple, deque[str]] = {}
-    for name, policies in named_sets:
-        names.setdefault(policies, deque()).append(name)
     rows = []
-    for rank, (policies, report) in enumerate(ranked, start=1):
+    for place, (name, policies, report) in enumerate(ranked, start=1):
         outcome = report.citizen_outcome
         rows.append(
             [
-                rank,
-                names[policies].popleft(),
+                place,
+                name,
                 "+".join(p.describe() for p in policies) or "(none)",
                 outcome.decision.value,
                 outcome.z_star,
@@ -411,10 +407,10 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> tuple[st
 
     if opts.verify:
         mismatches = []
-        keys = [(r.designer_cost, r.social_cost) for _, r in ranked]
+        keys = [(r.designer_cost, r.social_cost) for _, _, r in ranked]
         if keys != sorted(keys):
             mismatches.append("ranking is not sorted by designer then social cost")
-        for policies, report in ranked:
+        for _, policies, report in ranked:
             # the printed columns in the same float operations
             weighed = designer_cost(
                 report.expected_infections, report.testing_outlay, report.suppressed_benefit, model
@@ -431,10 +427,8 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> tuple[st
                 mismatches.append(f"z_star {z_star} lies outside the window its gathering limit allows")
         _fail_verify(mismatches)
 
-    warnings = {policies: report.warnings for policies, report in ranked}  # equal sets warn alike
-    in_file_order = [
-        f"[policies].{name}: {text}" for name, policies in named_sets for text in warnings[policies]
-    ]
+    in_file_order = [f"[policies].{name}: {text}"
+                     for (name, _), report in zip(named_sets, reports) for text in report.warnings]
     return _render_rows(
         [
             "rank",

@@ -25,14 +25,14 @@ Conventions used by the evaluation:
   cap 0, which no meeting fits.  The benefit a cap suppresses,
   n * (B(z_free) - B(z)) with B = 0 at home, is charged to the designer, not
   to social cost.
-- ``evaluate_mechanism`` warns, in policy order, of each lockdown after a cap
-  and each cap after a lockdown in the set; ``apply_policy`` keeps no history.
+- ``apply_policies`` folds a set into one scenario in policy order and warns
+  once, of the set's first lockdown after a cap or cap after a lockdown.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .distancing import (
     CostBenefitFunction,
@@ -133,7 +133,9 @@ class Policy(Value):
         return cls(kind, **params)
 
     def describe(self) -> str:
-        params = ";".join(f"{name}={getattr(self, name):g}" for name in POLICY_PARAMS[self.kind])
+        # the integer limit prints whole; :g would round one of 10^6 or more
+        params = ";".join(f"{name}={getattr(self, name):{'d' if name == 'limit' else 'g'}}"
+                          for name in POLICY_PARAMS[self.kind])
         return f"{self.kind}({params})" if params else self.kind
 
     def encode(self) -> str:
@@ -204,33 +206,44 @@ class MechanismReport(Value):
     warnings: tuple[str, ...]
 
 
-def apply_policy(scenario: Scenario, policy: Policy) -> Scenario:
-    """Rewrite the scenario under one policy, recording no history and warning of nothing.
+def apply_policies(scenario: Scenario, policies: Iterable[Policy]) -> tuple[Scenario, tuple[str, ...]]:
+    """The scenario under a policy set, applied in order, and the set's warnings.
 
-    Stacking is left-to-right and keeps the smallest gathering limit, so a
-    lockdown (limit 0) dominates any cap.  A testing policy adds its spend to
-    ``testing_outlay``, and raises ``DomainError`` if the sum overflows.
+    Caps stack to the smallest gathering limit, so a lockdown (limit 0)
+    dominates any cap; a set with both warns once, of its first conflict.  A
+    testing policy adds its spend to ``testing_outlay``, and raises
+    ``DomainError`` if the sum overflows.
     """
-    if policy.kind == MASK_MANDATE:
-        return scenario.replace(mask_mandate=True)
-    if policy.kind == FREE_MASKS:
-        costs = scenario.mask_costs
-        subsidized = costs.replace(
-            c_use=max(0.0, costs.c_use - policy.subsidy),
-            c_out=max(0.0, costs.c_out - policy.subsidy),
-        )
-        return scenario.replace(mask_costs=subsidized)
-    if policy.kind in (GATHERING_CAP, LOCKDOWN):
-        limit = 0 if policy.kind == LOCKDOWN else policy.limit
-        if scenario.gathering_limit is not None:
-            limit = min(scenario.gathering_limit, limit)
-        return scenario.replace(gathering_limit=limit)
-    fraction = 1.0 if policy.kind == MASS_TESTING else policy.traced_fraction
-    revealed = max(scenario.revealed_fraction, fraction)
-    outlay = scenario.testing_outlay + fraction * (scenario.population * policy.per_test_cost)
-    if not math.isfinite(outlay):
-        raise DomainError(f"testing_outlay is {outlay}: the scenario's magnitudes overflow a float")
-    return scenario.replace(revealed_fraction=revealed, testing_outlay=outlay)
+    mandate, costs, limit = scenario.mask_mandate, scenario.mask_costs, scenario.gathering_limit
+    revealed, outlay = scenario.revealed_fraction, scenario.testing_outlay
+    first = None  # the kind of the set's first cap or lockdown
+    warnings: tuple[str, ...] = ()
+    for policy in policies:
+        kind = policy.kind
+        if kind == MASK_MANDATE:
+            mandate = True
+        elif kind == FREE_MASKS:
+            costs = costs.replace(
+                c_use=max(0.0, costs.c_use - policy.subsidy),
+                c_out=max(0.0, costs.c_out - policy.subsidy),
+            )
+        elif kind in (GATHERING_CAP, LOCKDOWN):
+            first = first or kind
+            if kind != first:
+                warnings = ("lockdown overrides gathering_cap (stricter policy wins)" if kind == LOCKDOWN
+                            else "gathering_cap has no effect under lockdown (stricter policy wins)",)
+            cap = 0 if kind == LOCKDOWN else policy.limit
+            limit = cap if limit is None else min(limit, cap)
+        else:
+            fraction = 1.0 if kind == MASS_TESTING else policy.traced_fraction
+            revealed = max(revealed, fraction)
+            outlay = outlay + fraction * (scenario.population * policy.per_test_cost)
+            if not math.isfinite(outlay):
+                raise DomainError(f"testing_outlay is {outlay}: the scenario's magnitudes overflow a float")
+    return scenario.replace(
+        mask_mandate=mandate, mask_costs=costs, gathering_limit=limit,
+        revealed_fraction=revealed, testing_outlay=outlay,
+    ), warnings
 
 
 def designer_cost(
@@ -268,17 +281,7 @@ def evaluate_mechanism(
     infected counterparts whose mask protects others (so not ``a`` for an
     out-mask).  Raises ``DomainError`` naming any aggregate that overflows.
     """
-    s = scenario
-    warnings = []
-    kinds = set()  # the kinds of the set's policies applied so far
-    for policy in policies:
-        if policy.kind == LOCKDOWN and GATHERING_CAP in kinds:
-            warnings.append("lockdown overrides gathering_cap (stricter policy wins)")
-        if policy.kind == GATHERING_CAP and LOCKDOWN in kinds:
-            warnings.append("gathering_cap has no effect under lockdown (stricter policy wins)")
-        kinds.add(policy.kind)
-        s = apply_policy(s, policy)
-
+    s, warnings = apply_policies(scenario, policies)
     d = s.distancing
     n = s.population
     domain = s.meeting_domain
@@ -347,22 +350,22 @@ def evaluate_mechanism(
     for name, value in aggregates.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} is {value}: the scenario's magnitudes overflow a float")
-    return MechanismReport(citizen_outcome=outcome, warnings=tuple(warnings), **aggregates)
+    return MechanismReport(citizen_outcome=outcome, warnings=warnings, **aggregates)
+
+
+def rank(reports: Sequence[MechanismReport]) -> list[int]:
+    """The reports' positions by designer cost, then social cost; ties keep input order."""
+    return sorted(range(len(reports)), key=lambda k: (reports[k].designer_cost, reports[k].social_cost))
 
 
 def compare_policies(
     scenario: Scenario,
-    policy_sets: Sequence[Sequence[Policy]],
+    policy_sets: Iterable[Sequence[Policy]],
     model: DesignerCostModel,
 ) -> list[tuple[tuple[Policy, ...], MechanismReport]]:
-    """Evaluate each policy set and rank ascending by designer cost.
-
-    Ties fall back to social cost and then to input order (stable sort).
-    """
-    if not policy_sets:
+    """Evaluate each policy set and pair it with its report, in ``rank`` order."""
+    sets = [tuple(policies) for policies in policy_sets]
+    if not sets:
         raise ValueError("at least one policy set is required")
-    evaluated = [
-        (tuple(policies), evaluate_mechanism(scenario, policies, model))
-        for policies in policy_sets
-    ]
-    return sorted(evaluated, key=lambda item: (item[1].designer_cost, item[1].social_cost))
+    reports = [evaluate_mechanism(scenario, policies, model) for policies in sets]
+    return [(sets[k], reports[k]) for k in rank(reports)]

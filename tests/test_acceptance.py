@@ -25,7 +25,7 @@ from epigames import (
     Policy,
     Scenario,
     StrategyProfile,
-    apply_policy,
+    apply_policies,
     bayesian_expected_cost,
     bayesian_mask_condition,
     cli,
@@ -214,7 +214,7 @@ def test_criterion_9_policy_layer_guarantees():
     model = DesignerCostModel(10_000, 1.0, 1.0)
 
     # mandate: the restricted two-susceptible game has the unique outcome (out, out)
-    mandated = apply_policy(scenario, Policy("mask_mandate"))
+    mandated, _ = apply_policies(scenario, [Policy("mask_mandate")])
     game = restrict(pair_game(S, S, mandated.mask_costs), ["out"], ["out"])
     equilibria = pure_nash_equilibria(game)
     assert [game.profile_labels(p) for p in equilibria] == [("out", "out")]
@@ -224,7 +224,7 @@ def test_criterion_9_policy_layer_guarantees():
     for _ in range(200):
         setting = BayesianSetting(rng.random(), rng.random())
         risky = setting.rho * (1 - setting.rho) * (1 - setting.p1) > 0
-        subsidized = apply_policy(
+        subsidized, _ = apply_policies(
             Scenario(
                 mask_costs=scenario.mask_costs,
                 efficiency=scenario.efficiency,
@@ -235,7 +235,7 @@ def test_criterion_9_policy_layer_guarantees():
                 meeting_domain=scenario.meeting_domain,
                 population=scenario.population,
             ),
-            Policy("free_masks", subsidy=scenario.mask_costs.c_use),
+            [Policy("free_masks", subsidy=scenario.mask_costs.c_use)],
         )
         if risky:
             assert bayesian_mask_condition(setting, subsidized.mask_costs).wear
@@ -257,10 +257,10 @@ def test_criterion_9_policy_layer_guarantees():
         per_test = rng.uniform(0, 500)
         fraction = rng.random()
         sized = scenario.replace(population=population)
-        mass = apply_policy(sized, Policy("mass_testing", per_test_cost=per_test)).testing_outlay
-        targeted = apply_policy(
-            sized, Policy("targeted_testing", per_test_cost=per_test, traced_fraction=fraction)
-        ).testing_outlay
+        mass = apply_policies(sized, [Policy("mass_testing", per_test_cost=per_test)])[0].testing_outlay
+        targeted = apply_policies(
+            sized, [Policy("targeted_testing", per_test_cost=per_test, traced_fraction=fraction)]
+        )[0].testing_outlay
         assert targeted == fraction * mass
     report(9, "mandate, subsidy, cap, lockdown, and testing guarantees all hold")
 

@@ -934,6 +934,14 @@ def test_equal_sets_keep_file_order_in_names_and_warnings(tmp_path, capsys):
     )
 
 
+def test_a_set_warns_once_of_its_first_conflict(tmp_path, capsys):
+    edits = [("policies", "many", ", ".join(["gathering_cap limit=10"] + ["lockdown"] * 1000))]
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    code, _, err = run_cli(capsys, "policy-compare", "--scenario", path, "--format", "csv")
+    assert code == 0
+    assert err == "epigames: warning: [policies].many: lockdown overrides gathering_cap (stricter policy wins)\n"
+
+
 def test_an_unwritable_out_exits_one_with_one_line_and_no_warning(tmp_path, capsys):
     edits = [("policies", "locked", "lockdown, gathering_cap limit=5")]
     path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
@@ -985,32 +993,28 @@ def test_a_cap_below_z_min_is_the_lockdown(tmp_path, capsys):
 
 
 def test_policy_compare_verify_rejects_a_z_star_above_its_cap(capsys, monkeypatch):
-    real = cli.compare_policies
+    real = cli.evaluate_mechanism
 
-    def beyond_the_cap(scenario, policy_sets, model):
-        ranked = real(scenario, policy_sets, model)
-        return [
-            (policies, report.replace(citizen_outcome=report.citizen_outcome.replace(z_star=11.0)))
-            if any(p.kind == "gathering_cap" for p in policies) else (policies, report)
-            for policies, report in ranked
-        ]
+    def beyond_the_cap(scenario, policies, model):
+        report = real(scenario, policies, model)
+        if any(p.kind == "gathering_cap" for p in policies):
+            return report.replace(citizen_outcome=report.citizen_outcome.replace(z_star=11.0))
+        return report
 
-    monkeypatch.setattr(cli, "compare_policies", beyond_the_cap)
+    monkeypatch.setattr(cli, "evaluate_mechanism", beyond_the_cap)
     code, _, err = run_cli(capsys, "policy-compare", "--scenario", str(BASELINE_FILE), "--verify")
     assert code == 3
     assert "z_star 11.0 lies outside the window its gathering limit allows" in err
 
 
 def test_policy_compare_verify_rejects_a_designer_cost_off_its_columns(capsys, monkeypatch):
-    real = cli.compare_policies
+    real = cli.evaluate_mechanism
 
-    def one_ulp_dearer(scenario, policy_sets, model):
-        return [
-            (policies, report.replace(designer_cost=math.nextafter(report.designer_cost, math.inf)))
-            for policies, report in real(scenario, policy_sets, model)
-        ]
+    def one_ulp_dearer(scenario, policies, model):
+        report = real(scenario, policies, model)
+        return report.replace(designer_cost=math.nextafter(report.designer_cost, math.inf))
 
-    monkeypatch.setattr(cli, "compare_policies", one_ulp_dearer)
+    monkeypatch.setattr(cli, "evaluate_mechanism", one_ulp_dearer)
     code, out, err = run_cli(capsys, "policy-compare", "--scenario", str(BASELINE_FILE), "--verify")
     assert (code, out) == (3, "")
     assert err == (

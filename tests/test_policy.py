@@ -1,11 +1,14 @@
 """Tests for policy transformations and mechanism evaluation."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import mask_costs_with_gaps, probabilities, sample_policy
 from epigames import (
     BayesianSetting,
+    CitizenOutcome,
     CostBenefitFunction,
     Decision,
     DesignerCostModel,
@@ -14,11 +17,12 @@ from epigames import (
     EfficiencyParams,
     HealthStatus,
     MaskCosts,
+    MechanismReport,
     MeetingDomain,
     Policy,
     Scenario,
     StrategyProfile,
-    apply_policy,
+    apply_policies,
     bayesian_mask_condition,
     compare_policies,
     designer_cost,
@@ -26,6 +30,7 @@ from epigames import (
     optimal_meeting,
     pair_game,
     pure_nash_equilibria,
+    rank,
     restrict,
     z_objective,
 )
@@ -104,6 +109,12 @@ class TestPolicyType:
         described = Policy("targeted_testing", per_test_cost=5.0, traced_fraction=0.1).describe()
         assert described == "targeted_testing(per_test_cost=5;traced_fraction=0.1)"
 
+    def test_describe_prints_a_limit_whole(self):
+        # :g would print both as gathering_cap(limit=1.23457e+06)
+        assert Policy("gathering_cap", limit=1234567).describe() == "gathering_cap(limit=1234567)"
+        assert Policy("gathering_cap", limit=1234568).describe() == "gathering_cap(limit=1234568)"
+        assert Policy("gathering_cap", limit=10**20).describe() == f"gathering_cap(limit={10**20})"
+
     def test_kinds_are_the_parameter_table_keys(self):
         assert POLICY_KINDS == tuple(POLICY_PARAMS)
 
@@ -141,7 +152,86 @@ class TestPolicyType:
         assert names == list(POLICY_PARAMS[kind])
 
 
+def _apply_one(scenario, policy):
+    """The per-policy rewrite that ``apply_policies`` folds: one policy, a new Scenario each."""
+    if policy.kind == "mask_mandate":
+        return scenario.replace(mask_mandate=True)
+    if policy.kind == "free_masks":
+        costs = scenario.mask_costs
+        subsidized = costs.replace(
+            c_use=max(0.0, costs.c_use - policy.subsidy),
+            c_out=max(0.0, costs.c_out - policy.subsidy),
+        )
+        return scenario.replace(mask_costs=subsidized)
+    if policy.kind in ("gathering_cap", "lockdown"):
+        limit = 0 if policy.kind == "lockdown" else policy.limit
+        if scenario.gathering_limit is not None:
+            limit = min(scenario.gathering_limit, limit)
+        return scenario.replace(gathering_limit=limit)
+    fraction = 1.0 if policy.kind == "mass_testing" else policy.traced_fraction
+    revealed = max(scenario.revealed_fraction, fraction)
+    outlay = scenario.testing_outlay + fraction * (scenario.population * policy.per_test_cost)
+    if not math.isfinite(outlay):
+        raise DomainError(f"testing_outlay is {outlay}: the scenario's magnitudes overflow a float")
+    return scenario.replace(revealed_fraction=revealed, testing_outlay=outlay)
+
+
+def _reference_fold(scenario, policies):
+    """A left fold of ``_apply_one``, with each conflict decided from the policies before it;
+    the set warns of its first conflict only."""
+    conflicts, kinds = [], set()
+    for policy in policies:
+        if policy.kind == "lockdown" and "gathering_cap" in kinds:
+            conflicts.append("lockdown overrides gathering_cap (stricter policy wins)")
+        if policy.kind == "gathering_cap" and "lockdown" in kinds:
+            conflicts.append("gathering_cap has no effect under lockdown (stricter policy wins)")
+        kinds.add(policy.kind)
+        scenario = _apply_one(scenario, policy)
+    return scenario, tuple(conflicts[:1])
+
+
+def _float_hexes(scenario):
+    return [getattr(holder, name).hex() for holder in (scenario, scenario.mask_costs)
+            for name in holder._fields if isinstance(getattr(holder, name), float)]
+
+
+_ANY_POLICY = st.one_of(
+    st.sampled_from([Policy("mask_mandate"), Policy("lockdown")]),
+    st.builds(Policy, st.just("free_masks"), subsidy=st.one_of(st.floats(0, 200), st.floats(0, 1e300))),
+    st.builds(Policy, st.just("gathering_cap"), limit=st.integers(1, 200)),
+    st.builds(Policy, st.just("mass_testing"), per_test_cost=st.one_of(st.floats(0, 1e3), st.floats(0, 1e300))),
+    st.builds(
+        Policy, st.just("targeted_testing"),
+        per_test_cost=st.one_of(st.floats(0, 1e3), st.floats(0, 1e300)), traced_fraction=probabilities(),
+    ),
+)
+
+
 class TestApplyPolicy:
+    @settings(max_examples=300, deadline=None)
+    @example(10**6, 0.0, 0.0, None, [Policy("mass_testing", per_test_cost=1e302)] * 3)  # overflows at the second
+    @given(
+        st.integers(2, 10**6),
+        probabilities(),
+        st.floats(0, 1e300),
+        st.one_of(st.none(), st.integers(0, 200)),
+        st.lists(_ANY_POLICY, max_size=8),
+    )
+    def test_one_pass_matches_a_fold_of_single_policies(self, n, revealed, outlay, limit, policies):
+        scenario = make_scenario(
+            population=n, revealed_fraction=revealed, testing_outlay=outlay, gathering_limit=limit
+        )
+        try:
+            expected = _reference_fold(scenario, policies)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as raised:
+                apply_policies(scenario, policies)
+            assert str(raised.value) == str(exc)
+            return
+        folded, warnings = apply_policies(scenario, policies)
+        assert (folded, warnings) == expected
+        assert _float_hexes(folded) == _float_hexes(expected[0])
+
     def test_every_policy_is_annotation_monotone(self):
         scenario = make_scenario()
         policies = [
@@ -161,7 +251,7 @@ class TestApplyPolicy:
             "targeted_testing": {"revealed_fraction", "testing_outlay"},
         }
         for policy in policies:
-            transformed = apply_policy(scenario, policy)
+            transformed, _ = apply_policies(scenario, [policy])
             for field in Scenario._fields:
                 if field in touched[policy.kind]:
                     continue
@@ -171,10 +261,10 @@ class TestApplyPolicy:
 
     def test_zero_subsidy_is_identity_on_costs(self):
         scenario = make_scenario()
-        assert apply_policy(scenario, Policy("free_masks", subsidy=0.0)).mask_costs == scenario.mask_costs
+        assert apply_policies(scenario, [Policy("free_masks", subsidy=0.0)])[0].mask_costs == scenario.mask_costs
 
     def test_subsidy_clamps_prices_at_zero(self):
-        transformed = apply_policy(make_scenario(), Policy("free_masks", subsidy=100.0))
+        transformed, _ = apply_policies(make_scenario(), [Policy("free_masks", subsidy=100.0)])
         assert transformed.mask_costs.c_use == 0.0
         assert transformed.mask_costs.c_out == 0.0
         assert transformed.mask_costs.c_in == 10.0
@@ -182,12 +272,12 @@ class TestApplyPolicy:
     @given(probabilities(), probabilities())
     def test_full_subsidy_makes_wearing_optimal_whenever_risky(self, rho, p1):
         scenario = make_scenario(bayesian=BayesianSetting(rho, p1))
-        transformed = apply_policy(scenario, Policy("free_masks", subsidy=scenario.mask_costs.c_use))
+        transformed, _ = apply_policies(scenario, [Policy("free_masks", subsidy=scenario.mask_costs.c_use)])
         if rho * (1 - rho) * (1 - p1) > 0:
             assert bayesian_mask_condition(transformed.bayesian, transformed.mask_costs).wear
 
     def test_mandate_restricts_the_pair_game_to_out(self):
-        scenario = apply_policy(make_scenario(), Policy("mask_mandate"))
+        scenario, _ = apply_policies(make_scenario(), [Policy("mask_mandate")])
         assert scenario.mask_mandate
         game = restrict(pair_game(S, S, scenario.mask_costs), ["out"], ["out"])
         equilibria = pure_nash_equilibria(game)
@@ -195,30 +285,32 @@ class TestApplyPolicy:
         assert game.profile_labels(equilibria[0]) == ("out", "out")
 
     def test_stacked_caps_keep_the_stricter_limit(self):
-        scenario = apply_policy(make_scenario(), Policy("gathering_cap", limit=10))
-        scenario = apply_policy(scenario, Policy("gathering_cap", limit=25))
+        caps = [Policy("gathering_cap", limit=10), Policy("gathering_cap", limit=25)]
+        scenario, warnings = apply_policies(make_scenario(), caps)
         assert scenario.gathering_limit == 10
+        assert warnings == ()
 
     def test_lockdown_and_cap_warn_in_either_order(self):
         for policies in (
             [Policy("lockdown"), Policy("gathering_cap", limit=5)],
             [Policy("gathering_cap", limit=5), Policy("lockdown")],
         ):
-            scenario = apply_policy(apply_policy(make_scenario(), policies[0]), policies[1])
+            scenario, warnings = apply_policies(make_scenario(), policies)
             assert scenario.gathering_limit == 0  # a lockdown is the cap no meeting fits
-            warnings = evaluate_mechanism(make_scenario(), policies, MODEL).warnings
+            assert evaluate_mechanism(make_scenario(), policies, MODEL).warnings == warnings
             assert len(warnings) == 1
             assert "stricter policy wins" in warnings[0]
 
-    def test_each_lockdown_after_a_cap_warns(self):
-        policies = [Policy("gathering_cap", limit=5), Policy("lockdown"), Policy("lockdown")]
-        scenario = make_scenario()
-        for policy in policies:
-            scenario = apply_policy(scenario, policy)
-        assert scenario.gathering_limit == 0
-        assert evaluate_mechanism(make_scenario(), policies, MODEL).warnings == (
-            ("lockdown overrides gathering_cap (stricter policy wins)",) * 2
-        )
+    def test_repeated_conflicts_warn_once_of_the_first(self):
+        cap, lockdown = Policy("gathering_cap", limit=5), Policy("lockdown")
+        for policies, text in (
+            ([cap, lockdown, lockdown, cap], "lockdown overrides gathering_cap (stricter policy wins)"),
+            ([lockdown, cap, cap, lockdown], "gathering_cap has no effect under lockdown (stricter policy wins)"),
+        ):
+            scenario, warnings = apply_policies(make_scenario(), policies)
+            assert scenario.gathering_limit == 0
+            assert warnings == (text,)
+            assert evaluate_mechanism(make_scenario(), policies, MODEL).warnings == (text,)
 
     @given(
         st.lists(
@@ -231,46 +323,46 @@ class TestApplyPolicy:
         )
     )
     def test_stacking_warnings_and_limit_match_a_reference_on_prefixes(self, policies):
-        # the reference decides each policy from the prefix of the set that ends with it
-        scenario, expected_warnings = make_scenario(), []
+        # the reference decides each policy from the prefix of the set that ends with it;
+        # a prefix warns of its first conflict only
+        conflicts = []
         for k, policy in enumerate(policies):
             earlier = {p.kind for p in policies[:k]}
             if policy.kind == "lockdown" and "gathering_cap" in earlier:
-                expected_warnings.append("lockdown overrides gathering_cap (stricter policy wins)")
+                conflicts.append("lockdown overrides gathering_cap (stricter policy wins)")
             if policy.kind == "gathering_cap" and "lockdown" in earlier:
-                expected_warnings.append(
-                    "gathering_cap has no effect under lockdown (stricter policy wins)"
-                )
+                conflicts.append("gathering_cap has no effect under lockdown (stricter policy wins)")
             limits = [0 if p.kind == "lockdown" else p.limit
                       for p in policies[: k + 1] if p.kind != "mask_mandate"]
-            scenario = apply_policy(scenario, policy)
+            scenario, warnings = apply_policies(make_scenario(), policies[: k + 1])
             assert scenario.gathering_limit == (min(limits) if limits else None)
+            assert warnings == tuple(conflicts[:1])
         report = evaluate_mechanism(make_scenario(), policies, MODEL)
-        assert report.warnings == tuple(expected_warnings)
+        assert report.warnings == tuple(conflicts[:1])
 
     def test_testing_policies_reveal_statuses(self):
         mass = Policy("mass_testing", per_test_cost=5.0)
-        assert apply_policy(make_scenario(), mass).revealed_fraction == 1.0
+        assert apply_policies(make_scenario(), [mass])[0].revealed_fraction == 1.0
         targeted = Policy("targeted_testing", per_test_cost=5.0, traced_fraction=0.3)
-        traced = apply_policy(make_scenario(), targeted)
+        traced, _ = apply_policies(make_scenario(), [targeted])
         assert traced.revealed_fraction == 0.3
 
 
 class TestTestingOutlay:
     def test_mass_testing_pays_for_everyone(self):
-        tested = apply_policy(make_scenario(), Policy("mass_testing", per_test_cost=50.0))
+        tested, _ = apply_policies(make_scenario(), [Policy("mass_testing", per_test_cost=50.0)])
         assert tested.testing_outlay == 50_000.0
 
     def test_targeted_outlay_is_the_traced_share_of_mass(self):
-        mass = apply_policy(make_scenario(), Policy("mass_testing", per_test_cost=50.0))
-        targeted = apply_policy(
-            make_scenario(), Policy("targeted_testing", per_test_cost=50.0, traced_fraction=0.1)
+        mass, _ = apply_policies(make_scenario(), [Policy("mass_testing", per_test_cost=50.0)])
+        targeted, _ = apply_policies(
+            make_scenario(), [Policy("targeted_testing", per_test_cost=50.0, traced_fraction=0.1)]
         )
         assert targeted.testing_outlay == 0.1 * mass.testing_outlay
 
     def test_non_testing_policies_cost_nothing(self):
         for kind in ("mask_mandate", "free_masks", "gathering_cap", "lockdown"):
-            assert apply_policy(make_scenario(), sample_policy(kind)).testing_outlay == 0.0
+            assert apply_policies(make_scenario(), [sample_policy(kind)])[0].testing_outlay == 0.0
         report = evaluate_mechanism(make_scenario(), [Policy("lockdown"), Policy("mask_mandate")], MODEL)
         assert report.testing_outlay == 0.0
 
@@ -312,10 +404,8 @@ class TestTestingOutlay:
         mass = Policy("mass_testing", per_test_cost=per_test_cost)
         full = Policy("targeted_testing", per_test_cost=per_test_cost, traced_fraction=1.0)
         scenario = make_scenario(population=n, revealed_fraction=revealed)
-        before = scenario
-        for policy in preceding:
-            before = apply_policy(before, policy)
-        by_mass, by_full = apply_policy(before, mass), apply_policy(before, full)
+        by_mass, _ = apply_policies(scenario, [*preceding, mass])
+        by_full, _ = apply_policies(scenario, [*preceding, full])
         assert by_mass == by_full
         assert by_mass.testing_outlay.hex() == by_full.testing_outlay.hex()
         assert (evaluate_mechanism(scenario, [*preceding, mass], MODEL)
@@ -327,7 +417,7 @@ class TestTestingOutlay:
 
     def test_an_overflowing_spend_is_a_domain_error(self):
         with pytest.raises(DomainError, match="^testing_outlay is inf: "):
-            apply_policy(make_scenario(), Policy("mass_testing", per_test_cost=1e306))
+            apply_policies(make_scenario(), [Policy("mass_testing", per_test_cost=1e306)])
 
 
 class TestDesignerCost:
@@ -426,7 +516,7 @@ class TestEvaluateMechanism:
             policies.append(Policy("mask_mandate"))
         outcome = evaluate_mechanism(scenario, policies, MODEL).citizen_outcome
         assert outcome.decision is Decision.GO
-        prices = apply_policy(scenario, Policy("free_masks", subsidy=subsidy)).mask_costs
+        prices = apply_policies(scenario, [Policy("free_masks", subsidy=subsidy)])[0].mask_costs
         game = pair_game(S, HealthStatus.INFECTED if rho > 0 else S, prices)
         susceptible, infected = pessimistic(restrict(game, ["out"], ["out"]) if mandate else game)
         assert outcome.revealed_susceptible_action == (susceptible if rho < 1 else None)
@@ -545,7 +635,29 @@ class TestEvaluateMechanism:
         assert wearing.expected_infections < maskless.expected_infections
 
 
+def _report(designer, social):
+    outcome = CitizenOutcome(Decision.STAY, None, None, None, None)
+    return MechanismReport(outcome, 0.0, social, designer, 0.0, 0.0, ())
+
+
 class TestComparePolicies:
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 5.0])), max_size=12))
+    def test_rank_is_the_stable_sort_by_designer_then_social_cost(self, costs):
+        order = rank([_report(designer, social) for designer, social in costs])
+        assert sorted(order) == list(range(len(costs)))
+        for k, m in zip(order, order[1:]):
+            assert costs[k] < costs[m] or (costs[k] == costs[m] and k < m)
+
+    def test_compare_policies_pairs_each_set_with_its_report_in_rank_order(self):
+        cap, lockdown = Policy("gathering_cap", limit=5), Policy("lockdown")
+        sets = [[], [lockdown], [Policy("mask_mandate")], [], [cap, lockdown], [lockdown, cap],
+                [Policy("free_masks", subsidy=100.0)], [lockdown]]
+        reports = [evaluate_mechanism(make_scenario(), policies, MODEL) for policies in sets]
+        assert rank(reports) != list(range(len(sets)))
+        expected = [(tuple(sets[k]), reports[k]) for k in rank(reports)]
+        assert compare_policies(make_scenario(), sets, MODEL) == expected
+        assert compare_policies(make_scenario(), iter(sets), MODEL) == expected
+
     def test_single_set_gives_singleton_ranking(self):
         ranked = compare_policies(make_scenario(), [[Policy("lockdown")]], MODEL)
         assert len(ranked) == 1
