@@ -30,7 +30,6 @@ from .games import (
     best_responses,
     dominant_actions,
     pure_nash_equilibria,
-    restrict,
     social_optima,
     solve,
 )
@@ -65,67 +64,6 @@ from .policy import (
     evaluate_mechanism,
     rank,
 )
-from .scenario import ScenarioConfig, format_scenario, parse_scenario
+from .scenario import ScenarioConfig, parse_scenario
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ACTION_IN",
-    "ACTION_NO",
-    "ACTION_OUT",
-    "ACTION_USE",
-    "ActionSet",
-    "BayesianSetting",
-    "CitizenOutcome",
-    "CostBenefitFunction",
-    "CostTable",
-    "Decision",
-    "DesignerCostModel",
-    "DistancingParams",
-    "DomainError",
-    "EfficiencyAnalysis",
-    "EfficiencyParams",
-    "GoDecision",
-    "HealthStatus",
-    "MaskCondition",
-    "MaskCosts",
-    "MechanismReport",
-    "MeetingDomain",
-    "MeetingOptimum",
-    "Policy",
-    "Scenario",
-    "ScenarioConfig",
-    "ScenarioError",
-    "SocialOptimumCondition",
-    "SolutionReport",
-    "StayHomeDecision",
-    "StrategyProfile",
-    "VerificationError",
-    "apply_policies",
-    "bayesian_expected_cost",
-    "bayesian_mask_condition",
-    "best_responses",
-    "compare_policies",
-    "curve_series",
-    "designer_cost",
-    "distancing_utility",
-    "dominant_actions",
-    "efficiency_analysis",
-    "efficiency_expected_cost",
-    "evaluate_mechanism",
-    "extended_go_decision",
-    "format_scenario",
-    "group_infection_probability",
-    "multiplayer_so_condition",
-    "objective_values",
-    "optimal_meeting",
-    "pair_game",
-    "parse_scenario",
-    "pure_nash_equilibria",
-    "rank",
-    "restrict",
-    "social_optima",
-    "solve",
-    "stay_home_decision",
-    "z_objective",
-]

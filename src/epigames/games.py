@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .value import Value
 
@@ -39,12 +39,6 @@ class ActionSet(Value):
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown action {label!r}; have {self.labels!r}") from None
 
 
 class CostTable(Value):
@@ -154,29 +148,6 @@ def dominant_actions(game: CostTable, player: int) -> list[int]:
     n_opp = game.n2 if player == 1 else game.n1
     responses = [best_responses(game, player, o) for o in range(n_opp)]
     return [a for a in responses[0] if all(a in r for r in responses)]
-
-
-def restrict(
-    game: CostTable,
-    keep_p1: Sequence[int | str],
-    keep_p2: Sequence[int | str],
-) -> CostTable:
-    """Sub-game over the given actions (indices or labels), order preserved."""
-
-    def resolve(actions: ActionSet, keep: Sequence[int | str]) -> list[int]:
-        idx = [actions.index(k) if isinstance(k, str) else int(k) for k in keep]
-        for k in idx:
-            if not 0 <= k < len(actions):
-                raise ValueError(f"action index {k} out of range")
-        return idx
-
-    rows = resolve(game.actions_p1, keep_p1)
-    cols = resolve(game.actions_p2, keep_p2)
-    return CostTable(
-        ActionSet(tuple(game.actions_p1.labels[i] for i in rows)),
-        ActionSet(tuple(game.actions_p2.labels[j] for j in cols)),
-        tuple(tuple(game.costs[i][j] for j in cols) for i in rows),
-    )
 
 
 def solve(game: CostTable) -> SolutionReport:

@@ -92,7 +92,10 @@ class Policy(Value):
     """One government policy with its parameters.
 
     Exactly the parameters belonging to ``kind`` (``POLICY_PARAMS``) may be
-    set, by keyword: ``Policy(FREE_MASKS, subsidy=50.0)``, or through ``parse``.
+    set, by keyword, ``Policy(FREE_MASKS, subsidy=50.0)``, or from a scenario
+    file's text, ``Policy.parse("free_masks subsidy=50")``.  ``__post_init__``
+    checks the kind, the names and the ranges for both; ``describe`` prints
+    each value exactly.
     """
 
     kind: str
@@ -120,28 +123,32 @@ class Policy(Value):
 
     @classmethod
     def parse(cls, text: str) -> "Policy":
-        """The policy of an ``encode()`` text: its kind, then name=value per parameter."""
+        """The policy of a text: its kind, then name=value per parameter, in any order."""
         kind, *tokens = text.split() or [""]
         given: dict[str, str] = {}  # name -> value text
         for name, _, raw in (token.partition("=") for token in tokens):
             if name in given:
                 raise ValueError(f"repeated parameter {echo(name)}")
             given[name] = raw
-        _check_params(kind, given)  # here too: a name that is no field fails in the constructor
+        if kind not in POLICY_PARAMS or given.keys() != set(POLICY_PARAMS[kind]):
+            _check_params(kind, given)  # raises before any value is read: kind, then names
         params = {name: (read_integer if name == "limit" else read_number)(raw, name)
                   for name, raw in given.items()}
-        return cls(kind, **params)
+        return cls(kind, *[params.get(name) for name in cls._fields[1:]])
 
     def describe(self) -> str:
-        # the integer limit prints whole; :g would round one of 10^6 or more
-        params = ";".join(f"{name}={getattr(self, name):{'d' if name == 'limit' else 'g'}}"
+        """The kind and each parameter, exactly: ``:g`` where it reads back the same, else in full."""
+        params = ";".join(f"{name}={_exact(name, getattr(self, name))}"
                           for name in POLICY_PARAMS[self.kind])
         return f"{self.kind}({params})" if params else self.kind
 
-    def encode(self) -> str:
-        """Exact text form, which ``parse`` reads back."""
-        params = [f"{name}={getattr(self, name)!r}" for name in POLICY_PARAMS[self.kind]]
-        return " ".join([self.kind] + params)
+
+def _exact(name: str, value: float) -> str:
+    """A parameter's value as text that reads back as the same number."""
+    if name == "limit":
+        return f"{value:d}"  # :g would round a limit of 10^6 or more
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
 class Scenario(Value):
@@ -275,7 +282,7 @@ def evaluate_mechanism(
     masks included: of the equilibria, the one with the highest total cost,
     ties broken by table order.  That is (in, no) for a susceptible meeting an
     infected player, (no, no) for two susceptibles, and (out, out) in the game
-    a mandate ``restrict``s to the out-mask.  As in the pair games, each
+    a mandate restricts to the out-mask.  As in the pair games, each
     action's price and protection come from ``MASK_ACTIONS``: exposure scales
     by ``a`` for susceptibles whose mask protects its wearer and by ``b`` for
     infected counterparts whose mask protects others (so not ``a`` for an

@@ -242,31 +242,3 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         return ScenarioConfig(**values)
     except FieldError as exc:  # the population is the one number no section type holds
         raise ScenarioError(f"[population].n: {exc}") from None
-
-
-def format_scenario(config: ScenarioConfig) -> str:
-    """Serialize a parsed scenario back to file text (exact round-trip)."""
-    blocks = []
-    for section, keys in _SECTIONS.items():
-        if keys is None:
-            if config.policy_sets is None:
-                continue
-            pairs = [
-                (name, ", ".join(policy.encode() for policy in policies))
-                for name, policies in config.policy_sets
-            ]
-        else:
-            holders = {field: getattr(config, field) for field, _, _ in keys.values()}
-            if any(holder is None for holder in holders.values()):
-                continue
-            pairs = [
-                (key, _encode_value(holders[field], attr))
-                for key, (field, attr, _) in keys.items()
-            ]
-        blocks.append("\n".join([f"[{section}]"] + [f"{key} = {value}" for key, value in pairs]))
-    return "\n\n".join(blocks) + "\n"
-
-
-def _encode_value(holder: object, attr: str | None) -> str:
-    value = holder if attr is None else getattr(holder, attr)
-    return value.encode() if isinstance(value, CostBenefitFunction) else repr(value)

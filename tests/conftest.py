@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from epigames import MaskCosts, Policy
+from epigames import ActionSet, CostTable, MaskCosts, Policy
 from epigames.policy import POLICY_PARAMS
 
 SAMPLE_PARAMS = {"subsidy": 12.5, "limit": 7, "per_test_cost": 3.25, "traced_fraction": 0.4}
@@ -38,3 +38,21 @@ def probabilities():
 def sample_policy(kind):
     """A valid policy of ``kind`` with every parameter its table row names set."""
     return Policy(kind, **{name: SAMPLE_PARAMS[name] for name in POLICY_PARAMS[kind]})
+
+
+def restrict(game, keep_p1, keep_p2):
+    """The sub-game of ``game`` over the given actions, each an index or a label, order kept."""
+
+    def resolve(actions, keep):
+        index = [actions.labels.index(k) if isinstance(k, str) else k for k in keep]  # ValueError if unknown
+        if not all(0 <= k < len(actions) for k in index):
+            raise ValueError(f"an action index of {index} is out of range")
+        return index
+
+    rows = resolve(game.actions_p1, keep_p1)
+    cols = resolve(game.actions_p2, keep_p2)
+    return CostTable(
+        ActionSet(tuple(game.actions_p1.labels[i] for i in rows)),
+        ActionSet(tuple(game.actions_p2.labels[j] for j in cols)),
+        tuple(tuple(game.costs[i][j] for j in cols) for i in rows),
+    )

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from conftest import mask_costs_with_gaps
+from conftest import mask_costs_with_gaps, restrict
 from epigames import (
     BayesianSetting,
     CostBenefitFunction,
@@ -38,7 +38,6 @@ from epigames import (
     oracle,
     pair_game,
     pure_nash_equilibria,
-    restrict,
     social_optima,
     stay_home_decision,
     z_objective,

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import restrict
 from epigames import (
     ActionSet,
     CostTable,
@@ -11,7 +12,6 @@ from epigames import (
     dominant_actions,
     oracle,
     pure_nash_equilibria,
-    restrict,
     social_optima,
     solve,
 )

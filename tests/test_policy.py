@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import mask_costs_with_gaps, probabilities, sample_policy
+from conftest import mask_costs_with_gaps, probabilities, restrict, sample_policy
 from epigames import (
     BayesianSetting,
     CitizenOutcome,
@@ -29,12 +29,14 @@ from epigames import (
     evaluate_mechanism,
     optimal_meeting,
     pair_game,
+    parse_scenario,
     pure_nash_equilibria,
     rank,
-    restrict,
     z_objective,
 )
+from epigames import policy as policy_module
 from epigames.policy import POLICY_KINDS, POLICY_PARAMS
+from epigames.value import Value
 
 S = HealthStatus.SUSCEPTIBLE
 
@@ -74,6 +76,18 @@ _PARAM_VALUES = {
     "per_test_cost": st.floats(0, 1e300),
     "traced_fraction": st.floats(0, 1),
 }
+
+
+_ANY_POLICY = st.one_of(
+    st.sampled_from([Policy("mask_mandate"), Policy("lockdown")]),
+    st.builds(Policy, st.just("free_masks"), subsidy=st.one_of(st.floats(0, 200), st.floats(0, 1e300))),
+    st.builds(Policy, st.just("gathering_cap"), limit=st.integers(1, 200)),
+    st.builds(Policy, st.just("mass_testing"), per_test_cost=st.one_of(st.floats(0, 1e3), st.floats(0, 1e300))),
+    st.builds(
+        Policy, st.just("targeted_testing"),
+        per_test_cost=st.one_of(st.floats(0, 1e3), st.floats(0, 1e300)), traced_fraction=probabilities(),
+    ),
+)
 
 
 class TestPolicyType:
@@ -120,13 +134,61 @@ class TestPolicyType:
 
     @given(
         st.sampled_from(POLICY_KINDS).flatmap(
-            lambda kind: st.fixed_dictionaries(
-                {name: _PARAM_VALUES[name] for name in POLICY_PARAMS[kind]}
-            ).map(lambda params: Policy(kind, **params))
+            lambda kind: st.tuples(
+                st.just(kind),
+                st.fixed_dictionaries({name: _PARAM_VALUES[name] for name in POLICY_PARAMS[kind]}),
+                st.permutations(POLICY_PARAMS[kind]),
+            )
         )
     )
-    def test_parse_reads_back_encode(self, policy):
-        assert Policy.parse(policy.encode()) == policy
+    def test_parse_reads_each_parameter_exactly_in_any_order(self, drawn):
+        kind, params, order = drawn
+        text = " ".join([kind] + [f"{name}={params[name]!r}" for name in order])
+        assert Policy.parse(text) == Policy(kind, **params)
+
+    @example(Policy("free_masks", subsidy=1234567.0), Policy("free_masks", subsidy=1234568.0))
+    @example(
+        Policy("targeted_testing", per_test_cost=5.0, traced_fraction=0.1234561),
+        Policy("targeted_testing", per_test_cost=5.0, traced_fraction=0.1234562),
+    )
+    @given(_ANY_POLICY, _ANY_POLICY)
+    def test_unequal_policies_describe_differently(self, first, second):
+        if first != second:
+            assert first.describe() != second.describe()
+
+    @given(_ANY_POLICY.filter(lambda policy: POLICY_PARAMS[policy.kind]), st.data())
+    def test_a_value_one_step_away_describes_differently(self, policy, data):
+        name = data.draw(st.sampled_from(POLICY_PARAMS[policy.kind]))
+        value = getattr(policy, name)
+        if name == "limit":
+            value += 1
+        else:  # the next float towards 0, or up from 0: in range for every parameter
+            value = math.nextafter(value, 0.0 if value > 0 else 1.0)
+        moved = policy.replace(**{name: value})
+        assert policy.describe() != moved.describe()
+
+    def test_parsing_a_set_checks_each_policy_once_and_builds_it_by_position(self, tmp_path, monkeypatch):
+        checks, merged = [], []
+        check_params, merge = policy_module._check_params, Value._merge.__func__
+
+        def counted_check(kind, given):
+            checks.append(kind)
+            check_params(kind, given)
+
+        def counted_merge(cls, args, kwargs):
+            merged.append(cls)
+            return merge(cls, args, kwargs)
+
+        monkeypatch.setattr(policy_module, "_check_params", counted_check)
+        monkeypatch.setattr(Value, "_merge", classmethod(counted_merge))
+        texts = ["mask_mandate", "free_masks subsidy=12.5", "gathering_cap limit=7", "lockdown",
+                 "mass_testing per_test_cost=3.25", "targeted_testing traced_fraction=0.4 per_test_cost=3.25"]
+        path = tmp_path / "long.ini"
+        path.write_text(f"[policies]\nlong = {', '.join(texts * 100)}\n", encoding="utf-8")
+        [(_, policies)] = parse_scenario(path).policy_sets
+        assert [policy.kind for policy in policies] == [text.split()[0] for text in texts] * 100
+        assert checks == [policy.kind for policy in policies]
+        assert Policy not in merged
 
     @pytest.mark.parametrize(
         "text, message",
@@ -139,6 +201,10 @@ class TestPolicyType:
             ("gathering_cap limit=2.5", "expected an integer for limit, got '2.5'"),
             ("free_masks subsidy=1 subsidy=500", "repeated parameter 'subsidy'"),
             ("free_masks subsidy=-1", "subsidy must be non-negative"),
+            # a wrong kind or name is named before any value is read
+            ("lockdown subsidy=abc", "requires no parameters; does not take 'subsidy'"),
+            ("curfew subsidy=x", "unknown policy kind 'curfew'"),
+            ("lockdown subsidy=nan", "requires no parameters; does not take 'subsidy'"),
         ],
     )
     def test_parse_names_what_is_wrong(self, text, message):
@@ -193,18 +259,6 @@ def _reference_fold(scenario, policies):
 def _float_hexes(scenario):
     return [getattr(holder, name).hex() for holder in (scenario, scenario.mask_costs)
             for name in holder._fields if isinstance(getattr(holder, name), float)]
-
-
-_ANY_POLICY = st.one_of(
-    st.sampled_from([Policy("mask_mandate"), Policy("lockdown")]),
-    st.builds(Policy, st.just("free_masks"), subsidy=st.one_of(st.floats(0, 200), st.floats(0, 1e300))),
-    st.builds(Policy, st.just("gathering_cap"), limit=st.integers(1, 200)),
-    st.builds(Policy, st.just("mass_testing"), per_test_cost=st.one_of(st.floats(0, 1e3), st.floats(0, 1e300))),
-    st.builds(
-        Policy, st.just("targeted_testing"),
-        per_test_cost=st.one_of(st.floats(0, 1e3), st.floats(0, 1e300)), traced_fraction=probabilities(),
-    ),
-)
 
 
 class TestApplyPolicy:
