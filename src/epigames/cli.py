@@ -14,7 +14,8 @@ import io
 import math
 import sys
 from fractions import Fraction
-from typing import Callable
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from . import oracle
 from .distancing import (
@@ -90,57 +91,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _formatter(opts: ReportOptions) -> Callable[[object], str]:
-    """The text of one report cell: numbers to ``opts.precision``, in exponent form
-    in a table from ``EXPONENT_FROM`` on, inf as 'inf', booleans as 'true'/'false',
-    None empty."""
+def _cells(column: Iterable[object], opts: ReportOptions) -> Iterator[str]:
+    """The text of each cell of one report column: a float to ``opts.precision``
+    digits, in a table in exponent form outside (-EXPONENT_FROM, EXPONENT_FROM),
+    so nan and inf print as such; a bool as 'true'/'false'; anything else as
+    ``str``.  An empty cell is '' in csv and '-' in a table."""
     table = opts.fmt == "table"
-    spec = f".{opts.precision}{'f' if table else 'g'}"
+    fixed = f".{opts.precision}{'f' if table else 'g'}"
     huge = f".{opts.precision}{'e' if table else 'g'}"
+    empty = "-" if table else ""
+    return (
+        format(value, fixed if -EXPONENT_FROM < value < EXPONENT_FROM else huge)
+        if isinstance(value, float)
+        else empty if value is None
+        else ("true" if value else "false") if isinstance(value, bool)
+        else str(value) or empty
+        for value in column
+    )
 
-    def text(value: object) -> str:
-        if isinstance(value, float):
-            if value == math.inf:
-                return "inf"
-            return format(value, spec if abs(value) < EXPONENT_FROM else huge)
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return str(value)
 
-    return text
+def _render(header: Sequence[str] | None, columns: Iterable[Iterable[object]], opts: ReportOptions) -> str:
+    """A report of ``columns`` under ``header``, if given: csv, or a table that pads
+    every column but the last to its widest cell and joins them with two spaces.
+    csv streams its cells; a table holds them, to measure its columns."""
+    if header is not None:
+        columns = [chain([head], column) for head, column in zip(header, columns)]
+    if opts.fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(zip(*(_cells(column, opts) for column in columns)))
+        return buffer.getvalue()
+    texts = [list(_cells(column, opts)) for column in columns]
+    template = "".join(f"{{:<{max(map(len, column))}}}  " for column in texts[:-1]) + "{}"
+    return "".join(template.format(*row).rstrip() + "\n" for row in zip(*texts))
 
 
 def _render_kv(pairs: list[tuple[str, object]], opts: ReportOptions) -> str:
+    """A key/value report: two columns in a table, the keys as a csv header over one row."""
+    keys, values = zip(*pairs)
     if opts.fmt == "csv":
-        return _render_csv([key for key, _ in pairs], [[value for _, value in pairs]], opts)
-    text = _formatter(opts)
-    width = max(len(key) for key, _ in pairs) + 2
-    return "".join(f"{key:<{width}}{text(value) or '-'}\n" for key, value in pairs)
-
-
-def _render_csv(header: list[str], rows: list[list[object]], opts: ReportOptions) -> str:
-    text = _formatter(opts)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([text(value) for value in row] for row in rows)
-    return buffer.getvalue()
-
-
-def _render_table(header: list[str], rows: list[list[object]], opts: ReportOptions) -> str:
-    text = _formatter(opts)
-    cells = [header] + [[text(value) or "-" for value in row] for row in rows]
-    # one template pads every column to its widest cell
-    template = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*cells))
-    return "".join(template.format(*row).rstrip() + "\n" for row in cells)
-
-
-def _render_rows(header: list[str], rows: list[list[object]], opts: ReportOptions) -> str:
-    if opts.fmt == "csv":
-        return _render_csv(header, rows, opts)
-    return _render_table(header, rows, opts)
+        return _render(keys, [[value] for value in values], opts)
+    return _render(None, [keys, values], opts)
 
 
 def _profile_text(game, profile) -> str:
@@ -194,9 +184,9 @@ def _cmd_mask_basic(config: ScenarioConfig, opts: ReportOptions) -> str:
             rows.append([name, "dominant_action", 2, None, game.actions_p2.labels[idx], None, None])
 
     if opts.fmt == "csv":
-        return _render_csv(
+        return _render(
             ["game", "item", "player", "action_p1", "action_p2", "cost_p1", "cost_p2"],
-            rows,
+            zip(*rows),
             opts,
         )
     lines = []
@@ -364,11 +354,11 @@ def _cmd_meeting_opt(config: ScenarioConfig, opts: ReportOptions) -> str:
 def _cmd_curves(config: ScenarioConfig, opts: ReportOptions) -> str:
     params, benefit_fn, cost_fn = config.require("distancing", "benefit_fn", "cost_fn")
     domain = config.meeting_domain
-    series = curve_series(benefit_fn, cost_fn, params.infection_prob, params.mortality, domain)
+    zs, values = zip(*curve_series(benefit_fn, cost_fn, params.infection_prob, params.mortality, domain))
 
     if opts.verify:
         mismatches = []
-        for z, value in series:
+        for z, value in zip(zs, values):
             # same objective composed from the infection probability; no risk, no bound
             # equal bit for bit: the kernel computes B(z) + C(z) and -expm1(z·log1p(-rho))·m alike
             risk = group_infection_probability(params.infection_prob, z) * params.mortality
@@ -378,7 +368,7 @@ def _cmd_curves(config: ScenarioConfig, opts: ReportOptions) -> str:
                 break
         _fail_verify(mismatches)
 
-    return _render_rows(["z", "objective"], [[z, v] for z, v in series], opts)
+    return _render(["z", "objective"], [zs, values], opts)
 
 
 def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> tuple[str, list[str]]:
@@ -429,7 +419,7 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> tuple[st
 
     in_file_order = [f"[policies].{name}: {text}"
                      for (name, _), report in zip(named_sets, reports) for text in report.warnings]
-    return _render_rows(
+    return _render(
         [
             "rank",
             "name",
@@ -442,7 +432,7 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> tuple[st
             "suppressed_benefit",
             "designer_cost",
         ],
-        rows,
+        zip(*rows),
         opts,
     ), in_file_order
 

@@ -147,7 +147,7 @@ def _exact(name: str, value: float) -> str:
     """A parameter's value as text that reads back as the same number."""
     if name == "limit":
         return f"{value:d}"  # :g would round a limit of 10^6 or more
-    short = f"{value:g}"
+    short = f"{value + 0.0:g}"  # -0.0 + 0.0 is 0.0: equal zeros print alike
     return short if float(short) == value else repr(value)
 
 

@@ -453,14 +453,14 @@ def test_renderers_spell_every_kind_of_cell():
     # the golden digests hold no bool or -inf cell, so this pins them
     header = ["none", "yes", "no", "int", "text", "empty", "inf", "neg", "half"]
     row = [None, True, False, 3, "x", "", float("inf"), float("-inf"), 0.5]
-    rows = [row, row[::-1]]
-    table = cli._render_table(header, rows, cli.ReportOptions(fmt="table", precision=3))
+    columns = list(zip(row, row[::-1]))
+    table = cli._render(header, columns, cli.ReportOptions(fmt="table", precision=3))
     assert table == (
         "none   yes   no     int  text  empty  inf    neg   half\n"
         "-      true  false  3    x     -      inf    -inf  0.500\n"
         "0.500  -inf  inf    -    x     3      false  true  -\n"
     )
-    text = cli._render_csv(header, rows, cli.ReportOptions(fmt="csv", precision=3))
+    text = cli._render(header, columns, cli.ReportOptions(fmt="csv", precision=3))
     assert text == (
         "none,yes,no,int,text,empty,inf,neg,half\n"
         ",true,false,3,x,,inf,-inf,0.5\n"
@@ -1087,11 +1087,67 @@ def test_huge_table_cells_print_in_exponent_form(tmp_path, capsys):
 
 def test_exponent_form_starts_at_its_documented_magnitude():
     below = math.nextafter(cli.EXPONENT_FROM, 0)
-    rows = [[below, -below, cli.EXPONENT_FROM, -cli.EXPONENT_FROM]]
-    table = cli._render_table(["a", "b", "c", "d"], rows, cli.ReportOptions(precision=2))
+    columns = [[below], [-below], [cli.EXPONENT_FROM], [-cli.EXPONENT_FROM]]
+    table = cli._render(["a", "b", "c", "d"], columns, cli.ReportOptions(precision=2))
     assert table.splitlines()[1].split() == [
         "9999999999999998.00", "-9999999999999998.00", "1.00e+16", "-1.00e+16"
     ]
+
+
+def _reference_report(header, rows, fmt, precision):
+    """The report of ``rows``, one cell and one line at a time, by the rules the README states."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            if fmt == "csv":
+                return format(value, f".{precision}g")
+            exponent = not -cli.EXPONENT_FROM < value < cli.EXPONENT_FROM  # nan too
+            return format(value, f".{precision}{'e' if exponent else 'f'}")
+        return "" if value is None else str(value)
+
+    lines = ([header] if header is not None else []) + [
+        [cell(value) or ("-" if fmt == "table" else "") for value in row] for row in rows
+    ]
+    if fmt == "csv":
+        def quoted(text):
+            return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"') else text
+        return "".join(",".join(map(quoted, line)) + "\n" for line in lines)
+    widths = [max(len(line[k]) for line in lines) for k in range(len(lines[0]) - 1)]
+    return "".join(
+        "  ".join([text.ljust(width) for text, width in zip(line, widths)] + [line[-1]]).rstrip() + "\n"
+        for line in lines
+    )
+
+
+_TEXT = st.text(alphabet='ab ,"-', max_size=5)  # spaces, commas, quotes and a dash
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [math.inf, -math.inf, 0.0, -0.0]
+        + [x for edge in (cli.EXPONENT_FROM, -cli.EXPONENT_FROM)
+           for x in (edge, math.nextafter(edge, 0), math.nextafter(edge, 2 * edge))]
+    ),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    _TEXT,
+)
+
+
+@given(
+    fmt=st.sampled_from(["table", "csv"]),
+    precision=st.integers(1, cli.MAX_PRECISION),
+    width=st.integers(2, 5),  # every report has two columns or more
+    data=st.data(),
+)
+def test_render_matches_a_cell_by_cell_reference(fmt, precision, width, data):
+    header = data.draw(st.none() | st.lists(_TEXT.filter(bool), min_size=width, max_size=width))
+    row = st.lists(_CELLS, min_size=width, max_size=width)
+    rows = data.draw(st.lists(row, min_size=header is None, max_size=6))  # a headerless report has rows
+    columns = [[row[k] for row in rows] for k in range(width)]
+    opts = cli.ReportOptions(fmt=fmt, precision=precision)
+    assert cli._render(header, columns, opts) == _reference_report(header, rows, fmt, precision)
 
 
 # the sections each subcommand cannot run without ([meeting] has defaults)

@@ -156,6 +156,16 @@ class TestPolicyType:
         if first != second:
             assert first.describe() != second.describe()
 
+    @example(Policy("free_masks", subsidy=0.0))
+    @example(Policy("targeted_testing", per_test_cost=0.0, traced_fraction=0.0))
+    @given(_ANY_POLICY)
+    def test_equal_policies_describe_alike(self, policy):
+        # -0.0 == 0.0, so the policy with each zero parameter negated is the same policy
+        zeros = {name: -0.0 for name in POLICY_PARAMS[policy.kind] if getattr(policy, name) == 0}
+        negated = policy.replace(**zeros)
+        assert negated == policy
+        assert negated.describe() == policy.describe()
+
     @given(_ANY_POLICY.filter(lambda policy: POLICY_PARAMS[policy.kind]), st.data())
     def test_a_value_one_step_away_describes_differently(self, policy, data):
         name = data.draw(st.sampled_from(POLICY_PARAMS[policy.kind]))
