@@ -1,17 +1,20 @@
 """Command-line interface: scenario ingestion, dispatch, report emission.
 
-Exit codes: 0 success, 1 scenario/usage failure, 2 domain error from a
-computation, 3 analytic/oracle mismatch under --verify.  Reports go to the
---out target (default stdout); diagnostics go to stderr.  Output is
-byte-identical across runs for identical inputs and flags.
+Exit codes: 0 success, 1 scenario/usage failure or a report that cannot be
+written, 2 domain error from a computation, 3 analytic/oracle mismatch under
+--verify.  Reports go to the --out target (default stdout); diagnostics go to
+stderr.  Output is byte-identical across runs for identical inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import io
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -133,11 +136,6 @@ def _render_kv(pairs: list[tuple[str, object]], opts: ReportOptions) -> str:
     return _render(None, [keys, values], opts)
 
 
-def _profile_text(game, profile) -> str:
-    lab1, lab2 = game.profile_labels(profile)
-    return f"({lab1}, {lab2})"
-
-
 def _fail_verify(mismatches: list[str]) -> None:
     if mismatches:
         raise VerificationError("; ".join(mismatches))
@@ -170,33 +168,15 @@ def _cmd_mask_basic(config: ScenarioConfig, opts: ReportOptions) -> str:
 
     rows = []
     for name, game, report in reports:
-        for profile in report.pure_nash:
-            lab1, lab2 = game.profile_labels(profile)
-            c1, c2 = game.pair(*profile)
-            rows.append([name, "nash_equilibrium", None, lab1, lab2, float(c1), float(c2)])
-        for profile in report.social_optima:
-            lab1, lab2 = game.profile_labels(profile)
-            c1, c2 = game.pair(*profile)
-            rows.append([name, "social_optimum", None, lab1, lab2, float(c1), float(c2)])
-        for idx in report.dominant_p1:
-            rows.append([name, "dominant_action", 1, game.actions_p1.labels[idx], None, None, None])
-        for idx in report.dominant_p2:
-            rows.append([name, "dominant_action", 2, None, game.actions_p2.labels[idx], None, None])
-
-    if opts.fmt == "csv":
-        return _render(
-            ["game", "item", "player", "action_p1", "action_p2", "cost_p1", "cost_p2"],
-            zip(*rows),
-            opts,
-        )
-    lines = []
-    for name, game, report in reports:
-        lines.append(f"game: {name}")
-        lines.append("  nash_equilibria   " + ("; ".join(_profile_text(game, p) for p in report.pure_nash) or "-"))
-        lines.append("  social_optima     " + ("; ".join(_profile_text(game, p) for p in report.social_optima) or "-"))
-        lines.append("  dominant_p1       " + ("; ".join(game.actions_p1.labels[i] for i in report.dominant_p1) or "-"))
-        lines.append("  dominant_p2       " + ("; ".join(game.actions_p2.labels[i] for i in report.dominant_p2) or "-"))
-    return "\n".join(lines) + "\n"
+        for item, profiles in (("nash_equilibrium", report.pure_nash), ("social_optimum", report.social_optima)):
+            for profile in profiles:
+                c1, c2 = game.pair(*profile)
+                rows.append([name, item, None, *game.profile_labels(profile), float(c1), float(c2)])
+        rows += [[name, "dominant_action", 1, game.actions_p1.labels[i], None, None, None] for i in report.dominant_p1]
+        rows += [[name, "dominant_action", 2, None, game.actions_p2.labels[i], None, None] for i in report.dominant_p2]
+    return _render(
+        ["game", "item", "player", "action_p1", "action_p2", "cost_p1", "cost_p2"], zip(*rows), opts
+    )
 
 
 def _cmd_mask_bayesian(config: ScenarioConfig, opts: ReportOptions) -> str:
@@ -451,6 +431,18 @@ _COMMANDS = {
 SUBCOMMANDS = tuple(_COMMANDS)
 
 
+def _detach_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the interpreter's
+    flush of what a failed write left buffered cannot fail again at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # None, or a stand-in with no descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, dispatch, and emit the report; returns the exit code."""
     parser = build_parser()
@@ -480,15 +472,20 @@ def run(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"epigames: verification mismatch: {exc}", file=sys.stderr)
         return 3
-    if args.out is None:
-        sys.stdout.write(report)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(report)
-        except OSError as exc:
-            print(f"epigames: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
+    try:
+        with (
+            contextlib.nullcontext(sys.stdout) if args.out is None
+            else open(args.out, "w", encoding="utf-8", newline="")
+        ) as handle:
+            if handle is None:  # fd 1 was closed when the interpreter started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            handle.write(report)
+            handle.flush()
+    except OSError as exc:
+        if args.out is None:
+            _detach_stdout()
+        print(f"epigames: cannot write {'<stdout>' if args.out is None else args.out}: {exc}", file=sys.stderr)
+        return 1
     for text in warnings:
         print(f"epigames: warning: {text}", file=sys.stderr)
     return 0

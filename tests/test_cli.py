@@ -3,6 +3,7 @@
 import configparser
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import math
@@ -97,12 +98,16 @@ class TestReports:
         assert "125.000000" in out
         assert "wear" in out
 
-    def test_mask_basic_reports_equilibria_and_optima(self, capsys, scenario_path):
+    def test_mask_basic_reports_equilibria_and_optima_with_their_costs(self, capsys, scenario_path):
         code, out, _ = run_cli(capsys, "mask-basic", "--scenario", scenario_path)
         assert code == 0
-        assert "(in, no)" in out
-        assert "(no, out)" in out
-        assert "(no, no)" in out
+        rows = [line.split() for line in out.splitlines()]
+        assert rows[0] == ["game", "item", "player", "action_p1", "action_p2", "cost_p1", "cost_p2"]
+        # selfish play costs 10 + 1000, the optimum 0 + 1001
+        assert ["one_infected", "nash_equilibrium", "-", "in", "no", "10.000000", "1000.000000"] in rows
+        assert ["one_infected", "social_optimum", "-", "no", "out", "0.000000", "1001.000000"] in rows
+        # the infected player has no weakly dominant action, so only player 2 has a row
+        assert [row[2] for row in rows if row[:2] == ["one_infected", "dominant_action"]] == ["2"]
 
     def test_mask_basic_csv_schema(self, capsys, scenario_path):
         code, out, _ = run_cli(
@@ -468,17 +473,23 @@ def test_renderers_spell_every_kind_of_cell():
     )
 
 
+def _child_env(**changes):
+    """This environment with the tested package first on PYTHONPATH, and each of
+    ``changes`` set, or removed where it is None."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **changes}
+    return {key: value for key, value in env.items() if value is not None}
+
+
 def test_cli_import_loads_no_dataclasses_or_introspection():
     # dataclasses and the introspection modules it imports would add about 35 ms to
     # every command's start-up; -S keeps site hooks, which may import anything, out
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     code = (
         "import sys, epigames.cli\n"
         "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
     )
     result = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code], env=_child_env(), capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
 
@@ -488,7 +499,7 @@ BASELINE_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.in
 # sha256 of every report on scenarios/baseline.ini: a change that alters a report's
 # bytes must update this table on purpose
 GOLDEN_DIGESTS = {
-    ("mask-basic", "table"): "408ed315203b198ecbe9217bc5101c9de282bdc5f892a090438b743a5ab37ec8",
+    ("mask-basic", "table"): "526f192236fb73c1a58ba6b06afb3a1c4bafb6649cd7984791893c50c7194388",
     ("mask-basic", "csv"): "3ade15f5a2e64f77c4b6dfbb5166e8d62f30b6890a053051953137edd98a763c",
     ("mask-bayesian", "table"): "d87fad94b8d5420aabbbda5a6a53fbec09680a1d25974d93fee695eecde066b1",
     ("mask-bayesian", "csv"): "8f1f313d896fdc01df7cf94a695153a76732c47c65c4225e8cc07140537a8464",
@@ -511,6 +522,58 @@ def test_baseline_reports_match_their_golden_digests(capsys, command, fmt):
     code, out, err = run_cli(capsys, command, "--scenario", str(BASELINE_FILE), "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[command, fmt]
+
+
+# the reports whose table is two columns of keys and values, and whose csv is one row under the keys
+KEY_VALUE_REPORTS = ("mask-bayesian", "mask-efficiency", "distancing", "meeting-opt")
+
+
+def _assert_same_cells(path, command):
+    """Assert that ``command``'s table and csv at --precision 17, where a csv number
+    round-trips its double, hold the same cells.  A table row splits on runs of two
+    or more spaces, '-' is an empty csv cell, and a table number is the csv's number
+    in the table's fixed-point rounding (or in exponent form, which round-trips)."""
+    reports = []
+    for fmt in ("table", "csv"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run([command, "--scenario", path, "--format", fmt, "--precision", "17"])
+        assert (code, err.getvalue()) == (0, ""), fmt
+        reports.append(out.getvalue())
+    table = [re.split(r" {2,}", line) for line in reports[0].splitlines()]
+    if command in KEY_VALUE_REPORTS:
+        table = [list(row) for row in zip(*table)]
+    rows = parse_csv(reports[1])
+    assert [len(row) for row in table] == [len(row) for row in rows]
+    for table_row, csv_row in zip(table, rows):
+        for shown, held in zip(table_row, csv_row):
+            if shown != held and (shown, held) != ("-", ""):
+                assert float(shown) == float(format(float(held), ".17f")), (table_row, csv_row)
+
+
+@pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+def test_table_and_csv_hold_the_same_cells(command):
+    _assert_same_cells(str(BASELINE_FILE), command)
+
+
+@st.composite
+def _mask_costs(draw):
+    """The text of a [mask] section: any positive c_out < c_in < c_infection and c_use < c_infection."""
+    c_infection = draw(st.floats(1e-300, sys.float_info.max / 4))
+    below = st.floats(0, c_infection, exclude_min=True, exclude_max=True)
+    c_out, c_in = sorted([draw(below), draw(below)])
+    assume(c_out < c_in)
+    c_use = draw(below)
+    return f"[mask]\nc_out = {c_out!r}\nc_in = {c_in!r}\nc_use = {c_use!r}\nc_infection = {c_infection!r}\n"
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(text=_mask_costs())
+def test_mask_basic_table_and_csv_hold_the_same_cells(text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "mask.ini"
+        path.write_text(text, encoding="utf-8")
+        _assert_same_cells(str(path), "mask-basic")
 
 
 @pytest.fixture
@@ -952,6 +1015,85 @@ def test_an_unwritable_out_exits_one_with_one_line_and_no_warning(tmp_path, caps
     # written, the same report warns
     code, _, err = run_cli(capsys, "policy-compare", "--scenario", path, "--out", str(tmp_path / "report.txt"))
     assert code == 0 and err.startswith("epigames: warning: [policies].locked: ")
+
+
+def _os_error(code):
+    """The ``OSError`` a failed system call raises with ``code``."""
+    return OSError(code, os.strerror(code))
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout stand-in whose ``method`` ('write' or 'flush') raises ``error``."""
+
+    def __init__(self, method, error):
+        super().__init__()
+        self.method, self.error = method, error
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.error
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize(
+    "error",
+    [_os_error(errno.EPIPE), _os_error(errno.ENOSPC)],
+    ids=["closed-pipe", "full-device"],
+)
+def test_an_unwritable_stdout_exits_one_with_one_line_and_no_warning(tmp_path, method, error):
+    # an unbuffered stdout fails in write, a buffered one in flush
+    edits = [("policies", "locked", "lockdown, gathering_cap limit=5")]
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FailingStdout(method, error)), contextlib.redirect_stderr(err):
+        code = cli.run(["policy-compare", "--scenario", path])
+    assert (code, err.getvalue()) == (1, f"epigames: cannot write <stdout>: {error}\n")
+
+
+def test_a_closed_stdout_exits_one_with_one_line():
+    # the interpreter sets sys.stdout to None when it starts with fd 1 closed
+    err = io.StringIO()
+    with contextlib.redirect_stdout(None), contextlib.redirect_stderr(err):
+        code = cli.run(["mask-basic", "--scenario", str(BASELINE_FILE)])
+    assert (code, err.getvalue()) == (1, f"epigames: cannot write <stdout>: {_os_error(errno.EBADF)}\n")
+
+
+def _cli_process(args, stdout, **env):
+    """``python -m epigames.cli *args`` writing its report to ``stdout``, with ``env`` changed."""
+    return subprocess.run(
+        [sys.executable, "-m", "epigames.cli", *args],
+        env=_child_env(**env), stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_full_device_on_stdout_exits_one_with_one_line(unbuffered):
+    with open("/dev/full", "w") as full:
+        result = _cli_process(
+            ["mask-basic", "--scenario", str(BASELINE_FILE)], full, PYTHONUNBUFFERED=unbuffered
+        )
+    assert result.returncode == 1
+    assert result.stderr == f"epigames: cannot write <stdout>: {_os_error(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_on_stdout_exits_one_with_one_line(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the report is written, so no byte of it lands
+    try:
+        result = _cli_process(
+            ["mask-basic", "--scenario", str(BASELINE_FILE)], write_end, PYTHONUNBUFFERED=unbuffered
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == f"epigames: cannot write <stdout>: {_os_error(errno.EPIPE)}\n"
 
 
 def _policy_rows(tmp_path, capsys, edits, policies):

@@ -39,3 +39,11 @@ def test_library_example_prints_what_its_comments_say():
     with contextlib.redirect_stdout(out):
         exec(compile(source, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_mask_basic_excerpt_is_the_bundled_scenario_report(capsys):
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.ini"
+    assert cli.run(["mask-basic", "--scenario", str(scenario)]) == 0
+    report = capsys.readouterr().out.splitlines()
+    excerpt = _block("text").splitlines()
+    assert len(excerpt) == 4 and all(line in report for line in excerpt)
