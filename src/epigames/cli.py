@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from . import oracle
 from .distancing import (
@@ -70,6 +70,12 @@ class _Parser(argparse.ArgumentParser):
     # usage errors are invocation failures, not domain errors: exit 1, not 2, in one line
     def error(self, message: str) -> None:  # type: ignore[override]
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file: IO[str] | None = None) -> None:  # to stdout: the reports' write path
+        if file is not None:
+            super().print_help(file)
+        elif not _write(self.format_help(), None):
+            self.exit(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,6 +449,31 @@ def _detach_stdout() -> None:
     os.close(null)
 
 
+def _write(text: str, out: str | None) -> bool:
+    """Write ``text`` to the file ``out``, or stdout if None; False, after one stderr line, if it fails."""
+    try:
+        with (
+            contextlib.nullcontext(sys.stdout) if out is None
+            else open(out, "w", encoding="utf-8", newline="")
+        ) as handle:
+            if handle is None:  # fd 1 was closed when the interpreter started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            raw = getattr(handle, "buffer", None)
+            if isinstance(raw, io.RawIOBase):  # -u: the text layer drops what a short write leaves
+                data = memoryview(text.encode(handle.encoding, handle.errors))
+                while data:
+                    data = data[raw.write(data):]  # None (would block) retries from the same byte
+            else:
+                handle.write(text)
+                handle.flush()
+    except OSError as exc:
+        if out is None:
+            _detach_stdout()
+        print(f"epigames: cannot write {'<stdout>' if out is None else out}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, dispatch, and emit the report; returns the exit code."""
     parser = build_parser()
@@ -472,19 +503,7 @@ def run(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"epigames: verification mismatch: {exc}", file=sys.stderr)
         return 3
-    try:
-        with (
-            contextlib.nullcontext(sys.stdout) if args.out is None
-            else open(args.out, "w", encoding="utf-8", newline="")
-        ) as handle:
-            if handle is None:  # fd 1 was closed when the interpreter started
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            handle.write(report)
-            handle.flush()
-    except OSError as exc:
-        if args.out is None:
-            _detach_stdout()
-        print(f"epigames: cannot write {'<stdout>' if args.out is None else args.out}: {exc}", file=sys.stderr)
+    if not _write(report, args.out):
         return 1
     for text in warnings:
         print(f"epigames: warning: {text}", file=sys.stderr)

@@ -32,13 +32,8 @@ class DistancingParams(Value):
     life_value: float
     infection_prob: float
 
-    def __post_init__(self) -> None:
-        for name in ("benefit", "home_cost", "mortality", "life_value", "infection_prob"):
-            if getattr(self, name) < 0:
-                raise FieldError(f"{name} must be non-negative, got {getattr(self, name)}", name)
-        for name in ("mortality", "infection_prob"):
-            if getattr(self, name) > 1:
-                raise FieldError(f"{name} must be within [0, 1], got {getattr(self, name)}", name)
+    _ranges = {"benefit": (0, None), "home_cost": (0, None), "mortality": (0, 1),
+               "life_value": (0, None), "infection_prob": (0, 1)}
 
 
 class CostBenefitFunction(Value):
@@ -51,14 +46,11 @@ class CostBenefitFunction(Value):
     slope: float
     intercept: float
 
+    _ranges = {"slope": (0, None), "intercept": (0, None)}
+
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "linear"):
             raise ValueError(f"kind must be 'constant' or 'linear', got {self.kind!r}")
-        if self.slope < 0 or self.intercept < 0:
-            raise ValueError(
-                f"coefficients must be non-negative, got slope={self.slope},"
-                f" intercept={self.intercept}"
-            )
         if self.kind == "constant" and self.slope != 0:
             raise ValueError("a constant function cannot carry a slope")
 
@@ -107,15 +99,14 @@ class MeetingDomain(Value):
     z_max: float = 100.0
     grid_steps: int = 10_000
 
+    _ranges = {"grid_steps": (1, MAX_GRID_STEPS)}
+
     def __post_init__(self) -> None:
         if not 0 < self.z_min < self.z_max <= 100:
             raise FieldError(
                 f"need 0 < z_min < z_max <= 100, got z_min={self.z_min}, z_max={self.z_max}",
                 "z_min", "z_max",
             )
-        if not 1 <= self.grid_steps <= MAX_GRID_STEPS:
-            rule = "positive" if self.grid_steps < 1 else f"at most {MAX_GRID_STEPS}"
-            raise FieldError(f"grid_steps must be {rule}, got {self.grid_steps}", "grid_steps")
 
     def grid(self) -> tuple[float, ...]:
         """grid_steps + 1 evenly spaced samples, endpoints included exactly.

@@ -87,10 +87,7 @@ class BayesianSetting(Value):
     rho: float
     p1: float
 
-    def __post_init__(self) -> None:
-        for name in ("rho", "p1"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise FieldError(f"{name} must be within [0, 1], got {getattr(self, name)}", name)
+    _ranges = {"rho": (0, 1), "p1": (0, 1)}
 
 
 class EfficiencyParams(Value):

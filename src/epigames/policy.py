@@ -42,7 +42,7 @@ from .distancing import (
     extended_go_decision,
     group_infection_probability,
 )
-from .errors import DomainError, FieldError, echo, read_integer, read_number
+from .errors import DomainError, echo, read_integer, read_number
 from .masks import (
     ACTION_IN,
     ACTION_NO,
@@ -93,9 +93,10 @@ class Policy(Value):
 
     Exactly the parameters belonging to ``kind`` (``POLICY_PARAMS``) may be
     set, by keyword, ``Policy(FREE_MASKS, subsidy=50.0)``, or from a scenario
-    file's text, ``Policy.parse("free_masks subsidy=50")``.  ``__post_init__``
-    checks the kind, the names and the ranges for both; ``describe`` prints
-    each value exactly.
+    file's text, ``Policy.parse("free_masks subsidy=50")``.  For both,
+    ``__post_init__`` checks the kind, the names and the limit, and ``_ranges``
+    holds the other parameters to their ranges; ``describe`` prints each value
+    exactly.
     """
 
     kind: str
@@ -104,22 +105,16 @@ class Policy(Value):
     per_test_cost: float | None = None
     traced_fraction: float | None = None
 
+    _ranges = {"subsidy": (0, None), "per_test_cost": (0, None), "traced_fraction": (0, 1)}
+
     def __post_init__(self) -> None:
         params = self._fields[1:]  # every field after kind is a parameter
         _check_params(self.kind, [name for name in params if getattr(self, name) is not None])
-        if self.subsidy is not None and self.subsidy < 0:
-            raise ValueError(f"subsidy must be non-negative, got {self.subsidy}")
         if self.limit is not None:
             if not isinstance(self.limit, int) or isinstance(self.limit, bool):
                 raise ValueError(f"gathering limit must be an integer, got {self.limit!r}")
             if self.limit <= 0:
                 raise ValueError(f"gathering limit must be positive, got {self.limit}")
-        if self.per_test_cost is not None and self.per_test_cost < 0:
-            raise ValueError(f"per_test_cost must be non-negative, got {self.per_test_cost}")
-        if self.traced_fraction is not None and not 0 <= self.traced_fraction <= 1:
-            raise ValueError(
-                f"traced_fraction must be within [0, 1], got {self.traced_fraction}"
-            )
 
     @classmethod
     def parse(cls, text: str) -> "Policy":
@@ -167,15 +162,7 @@ class Scenario(Value):
     gathering_limit: int | None = None  # the largest exposure allowed; 0 under lockdown
     testing_outlay: float = 0.0  # the testing policies' spend so far
 
-    def __post_init__(self) -> None:
-        if self.population < 2:
-            raise ValueError(f"population must be at least 2, got {self.population}")
-        if not 0 <= self.revealed_fraction <= 1:
-            raise ValueError(
-                f"revealed_fraction must be within [0, 1], got {self.revealed_fraction}"
-            )
-        if self.testing_outlay < 0:
-            raise ValueError(f"testing_outlay must be non-negative, got {self.testing_outlay}")
+    _ranges = {"population": (2, None), "revealed_fraction": (0, 1), "testing_outlay": (0, None)}
 
 
 class DesignerCostModel(Value):
@@ -185,10 +172,7 @@ class DesignerCostModel(Value):
     weight_test: float
     weight_economic: float
 
-    def __post_init__(self) -> None:
-        for name in ("weight_infection", "weight_test", "weight_economic"):
-            if getattr(self, name) < 0:
-                raise FieldError(f"{name} must be non-negative, got {getattr(self, name)}", name)
+    _ranges = {"weight_infection": (0, None), "weight_test": (0, None), "weight_economic": (0, None)}
 
 
 class CitizenOutcome(Value):

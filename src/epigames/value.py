@@ -1,13 +1,14 @@
 """Immutable value types: the one base every record of the toolkit derives from.
 
 A subclass lists its fields as annotated class attributes, in order; a class
-attribute gives a field its default.  Instances take the fields by position
-or keyword, refuse a number field that is nan, infinite or an int beyond
-every float, run ``__post_init__`` to validate, refuse assignment and
-deletion, equal only an instance of the same class with equal fields, and
-print as ``Name(field=value, ...)``.  ``replace`` builds a changed copy and
-validates it again.  Unlike ``dataclasses``, the base costs next to nothing
-to import and to apply, which every command pays at start-up.
+attribute gives a field its default, and an unannotated ``_ranges`` maps a
+field to its range.  Instances take the fields by position or keyword, refuse
+a number field that is nan, infinite or an int beyond every float, validate
+by ``__post_init__`` and then ``_ranges``, refuse assignment and deletion,
+equal only an instance of the same class with equal fields, and print as
+``Name(field=value, ...)``.  ``replace`` builds a changed copy and validates
+it again.  Unlike ``dataclasses``, the base costs next to nothing to import
+and to apply, which every command pays at start-up.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ _FLOAT_MAX = sys.float_info.max
 class Value:
     _fields: tuple[str, ...] = ()  # field names, in declaration order
     _field_defaults: dict[str, object] = {}
+    _ranges: dict[str, tuple[float, float | None]] = {}  # field -> (least, greatest or None)
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -41,6 +43,12 @@ class Value:
                 raise FieldError(f"{field} must be a finite number, got {shown}", field)
             object.__setattr__(self, field, value)  # keeps attribute reads on CPython's fast path
         self.__post_init__()
+        for field, (least, greatest) in self._ranges.items():
+            value = getattr(self, field)  # None is an unset field, such as a policy's parameter
+            if value is not None and not (least <= value and (greatest is None or value <= greatest)):
+                rule = "non-negative" if least == 0 else f"at least {least}"
+                rule = rule if greatest is None else f"within [{least}, {greatest}]"
+                raise FieldError(f"{field} must be {rule}, got {value}", field)
 
     @classmethod
     def _merge(cls, args: tuple[object, ...], kwargs: dict[str, object]) -> tuple[object, ...]:
@@ -60,7 +68,7 @@ class Value:
         return tuple(values[field] for field in fields)
 
     def __post_init__(self) -> None:
-        """Check the fields' rules; a subclass overrides it and raises on a breach."""
+        """Check the rules ``_ranges`` cannot state; a subclass overrides it and raises on a breach."""
 
     def _values(self) -> tuple[object, ...]:
         return tuple(getattr(self, field) for field in self._fields)

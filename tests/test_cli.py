@@ -1096,6 +1096,50 @@ def test_a_closed_pipe_on_stdout_exits_one_with_one_line(unbuffered):
     assert result.stderr == f"epigames: cannot write <stdout>: {_os_error(errno.EPIPE)}\n"
 
 
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize(
+    "error",
+    [_os_error(errno.EPIPE), _os_error(errno.ENOSPC)],
+    ids=["closed-pipe", "full-device"],
+)
+def test_help_to_an_unwritable_stdout_exits_one_with_one_line(method, error):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FailingStdout(method, error)), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run(["--help"])
+    assert (exit_info.value.code, err.getvalue()) == (1, f"epigames: cannot write <stdout>: {error}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_help_to_a_full_device_exits_one_with_one_line(unbuffered):
+    with open("/dev/full", "w") as full:
+        result = _cli_process(["--help"], full, PYTHONUNBUFFERED=unbuffered)
+    assert result.returncode == 1
+    assert result.stderr == f"epigames: cannot write <stdout>: {_os_error(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_pipe_closed_after_one_line_exits_one_with_one_line(unbuffered):
+    # about 500 KB of report, far more than a pipe holds: the reader's close cuts it
+    process = subprocess.Popen(
+        [sys.executable, "-m", "epigames.cli", "curves", "--scenario", str(BASELINE_FILE),
+         "--grid-steps", "20000"],
+        env=_child_env(PYTHONUNBUFFERED=unbuffered),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        first = process.stdout.readline()
+        process.stdout.close()
+        err = process.stderr.read()
+        code = process.wait(timeout=60)
+    finally:
+        process.kill()
+        process.stderr.close()
+    assert first.startswith("z ")
+    assert (code, err) == (1, f"epigames: cannot write <stdout>: {_os_error(errno.EPIPE)}\n")
+
+
 def _policy_rows(tmp_path, capsys, edits, policies):
     """policy-compare --format csv --verify on the bundled scenario with ``edits`` and only
     the ``policies`` sets; returns the rows by set name."""
@@ -1337,7 +1381,7 @@ def test_grid_steps_bound_holds_for_the_file_and_the_flag(tmp_path, capsys, via,
     if code == 0:
         assert result[0] == 0 and result[2] == ""
         return
-    message = f"grid_steps must be at most {MAX_GRID_STEPS}, got {steps}"
+    message = f"grid_steps must be within [1, {MAX_GRID_STEPS}], got {steps}"
     if via == "file":
         _assert_one_line_scenario_error(*result, (f"[meeting].grid_steps: {message}",))
     else:

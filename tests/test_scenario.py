@@ -162,12 +162,14 @@ RANGE_RULES = [
     ("bayesian", "p1", "-0.5", r"\[bayesian\]\.p1: p1 " + PROBABILITY),
     ("distancing", "B", "-1", r"\[distancing\]\.B: benefit must be non-negative"),
     ("distancing", "m", "1.5", r"\[distancing\]\.m: mortality " + PROBABILITY),
+    ("distancing", "m", "-0.5", r"\[distancing\]\.m: mortality " + PROBABILITY + r", got -0\.5$"),
     ("distancing", "rho", "1.5", r"\[distancing\]\.rho: infection_prob " + PROBABILITY),
     ("meeting", "z_min", "0", MEETING_WINDOW),
     ("meeting", "z_max", "150", MEETING_WINDOW),
     ("meeting", "z_min", "80", MEETING_WINDOW),
-    ("meeting", "grid_steps", "0", r"\[meeting\]\.grid_steps: grid_steps must be positive"),
+    ("meeting", "grid_steps", "0", r"\[meeting\]\.grid_steps: grid_steps must be within \[1, 1000000\], got 0$"),
     ("designer", "weight_test", "-1", r"\[designer\]\.weight_test: weight_test must be non-neg"),
+    ("functions", "benefit", "linear:-1,0", r"\[functions\]\.benefit: slope must be non-negative, got -1\.0$"),
     ("mask", "c_out", "0", r"\[mask\]\.c_out: must be > 0"),
     ("mask", "c_use", "0", r"\[mask\]\.c_use: must be > 0"),
     ("population", "n", "1", r"\[population\]\.n: must be >= 2"),

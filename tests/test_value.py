@@ -94,7 +94,7 @@ def test_replace_changes_a_copy_and_validates_it_again():
     domain = MeetingDomain()
     assert domain.replace(grid_steps=7) == MeetingDomain(0.1, 100.0, 7)
     assert domain.grid_steps == 10_000
-    with pytest.raises(FieldError, match="grid_steps must be positive"):
+    with pytest.raises(FieldError, match=r"^grid_steps must be within \[1, 1000000\], got 0$"):
         domain.replace(grid_steps=0)
     with pytest.raises(TypeError, match="unknown field"):
         domain.replace(steps=7)
@@ -140,6 +140,65 @@ def test_every_number_field_refuses_non_finite_values(value, field, bad):
     with pytest.raises(FieldError) as by_position:
         type(value)(*(bad if name == field else getattr(value, name) for name in value._fields))
     assert (str(by_position.value), by_position.value.fields) == (str(info.value), (field,))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_range_names_a_field():
+    for cls in _subclasses(Value):
+        assert set(cls._ranges) <= set(cls._fields), cls.__name__
+
+
+def test_the_scenario_types_state_their_ranges():
+    assert {type(value).__name__: set(type(value)._ranges) for value in _VALID if type(value)._ranges} == {
+        "BayesianSetting": {"rho", "p1"},
+        "DistancingParams": {"benefit", "home_cost", "mortality", "life_value", "infection_prob"},
+        "CostBenefitFunction": {"slope", "intercept"},
+        "MeetingDomain": {"grid_steps"},
+        "Policy": {"subsidy", "per_test_cost", "traced_fraction"},
+        "DesignerCostModel": {"weight_infection", "weight_test", "weight_economic"},
+        "Scenario": {"population", "revealed_fraction", "testing_outlay"},
+    }
+
+
+def _range_bounds():
+    """(value, field, bound, outside) for each bound of each set field's range in _VALID."""
+    for value in _VALID:
+        for field, (least, greatest) in value._ranges.items():
+            if getattr(value, field) is None:  # a parameter this policy kind does not take
+                continue
+            owner = f"Policy[{value.kind}]" if isinstance(value, Policy) else type(value).__name__
+            yield pytest.param(value, field, least, least - 1, id=f"{owner}.{field}-least")
+            if greatest is not None:
+                yield pytest.param(value, field, greatest, greatest + 1, id=f"{owner}.{field}-greatest")
+
+
+@pytest.mark.parametrize("value, field, bound, outside", list(_range_bounds()))
+def test_each_range_accepts_its_bounds_and_refuses_beyond_them(value, field, bound, outside):
+    assert getattr(value.replace(**{field: bound}), field) == bound
+    least, greatest = value._ranges[field]
+    rule = (
+        f"within [{least}, {greatest}]" if greatest is not None
+        else "non-negative" if least == 0
+        else f"at least {least}"
+    )
+    with pytest.raises(FieldError) as info:
+        value.replace(**{field: outside})
+    assert (str(info.value), info.value.fields) == (f"{field} must be {rule}, got {outside}", (field,))
+    with pytest.raises(FieldError) as by_position:
+        type(value)(*(outside if name == field else getattr(value, name) for name in value._fields))
+    assert (str(by_position.value), by_position.value.fields) == (str(info.value), (field,))
+
+
+def test_an_ordering_rule_is_checked_before_a_range():
+    # __post_init__ runs first: z_min > z_max is reported, not the grid_steps range
+    with pytest.raises(FieldError) as info:
+        MeetingDomain(50.0, 10.0, 0)
+    assert info.value.fields == ("z_min", "z_max")
 
 
 @pytest.mark.parametrize(
