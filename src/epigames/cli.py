@@ -103,14 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _cells(column: Iterable[object], opts: ReportOptions) -> Iterator[str]:
     """The text of each cell of one report column: a float to ``opts.precision``
     digits, in a table in exponent form outside (-EXPONENT_FROM, EXPONENT_FROM),
-    so nan and inf print as such; a bool as 'true'/'false'; anything else as
-    ``str``.  An empty cell is '' in csv and '-' in a table."""
+    so nan and inf print as such, and -0.0 as 0; a bool as 'true'/'false';
+    anything else as ``str``.  An empty cell is '' in csv and '-' in a table."""
     table = opts.fmt == "table"
     fixed = f".{opts.precision}{'f' if table else 'g'}"
     huge = f".{opts.precision}{'e' if table else 'g'}"
     empty = "-" if table else ""
     return (
-        format(value, fixed if -EXPONENT_FROM < value < EXPONENT_FROM else huge)
+        format(value + 0.0, fixed if -EXPONENT_FROM < value < EXPONENT_FROM else huge)
         if isinstance(value, float)
         else empty if value is None
         else ("true" if value else "false") if isinstance(value, bool)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, FieldError, echo
-from .value import Value
+from .value import _FLOAT_MAX, Value, check_range
 
 
 class Decision(enum.Enum):
@@ -131,8 +130,7 @@ class MeetingDomain(Value):
 
 def distancing_utility(p: float, params: DistancingParams) -> float:
     """Utility of going out with probability p; affine in p."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must be within [0, 1], got {p}")
+    check_range("p", p, 0, 1)
     stakes = params.benefit - params.infection_prob * params.mortality * params.life_value
     return p * stakes - (1 - p) * params.home_cost
 
@@ -162,9 +160,6 @@ def stay_home_decision(params: DistancingParams) -> StayHomeDecision:
     return StayHomeDecision(decision, threshold)
 
 
-_FLOAT_MAX = sys.float_info.max
-
-
 def group_infection_probability(rho: float, z: float) -> float:
     """Probability of catching the infection at a finite exposure z > 0: 1 - (1 - rho)^z.
 
@@ -172,8 +167,7 @@ def group_infection_probability(rho: float, z: float) -> float:
     where the direct form cancels: 1 - rho drops the low digits of a small
     rho.  rho = 1, which log1p cannot take, is the certain case.
     """
-    if not 0 <= rho <= 1:
-        raise ValueError(f"rho must be within [0, 1], got {rho}")
+    check_range("rho", rho, 0, 1)
     # one comparison refuses z <= 0, nan, the infinities and ints beyond every float
     if not 0 < z <= _FLOAT_MAX:
         shown = repr(z) if isinstance(z, float) or abs(z) <= _FLOAT_MAX else "an int too large for a float"

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, FieldError
 from .games import ActionSet, CostTable
-from .value import Value
+from .value import Value, check_range
 
 ACTION_NO = "no"
 ACTION_OUT = "out"
@@ -141,8 +141,7 @@ def bayesian_expected_cost(setting: BayesianSetting, p2: float, costs: MaskCosts
     Both players' statuses are unknown, each infected with probability rho;
     the opponent wears with probability p1.  Affine in p2.
     """
-    if not 0 <= p2 <= 1:
-        raise ValueError(f"p2 must be within [0, 1], got {p2}")
+    check_range("p2", p2, 0, 1)
     rho, p1 = setting.rho, setting.p1
     cu, ci = costs.c_use, costs.c_infection
     when_susceptible = (1 - rho) * (p2 * cu) + rho * (p2 * cu + (1 - p2) * (1 - p1) * ci)
@@ -175,8 +174,7 @@ def efficiency_expected_cost(p: float, eff: EfficiencyParams, costs: MaskCosts) 
     the wearer's own infection probability by ``a`` and onward transmission
     by ``b``.
     """
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must be within [0, 1], got {p}")
+    check_range("p", p, 0, 1)
     a, b = eff.a, eff.b
     cu, ci = costs.c_use, costs.c_infection
     return (
@@ -235,8 +233,7 @@ def multiplayer_so_condition(rho: float, costs: MaskCosts) -> SocialOptimumCondi
     when c_in/c_out < rho/(1-rho), decided as c_in(1-rho) < rho*c_out on the
     ``Fraction``s, which holds at rho=1 whenever c_out > 0.
     """
-    if not 0 <= rho <= 1:
-        raise ValueError(f"rho must be within [0, 1], got {rho}")
+    check_range("rho", rho, 0, 1)
     lhs = math.inf if costs.c_out == 0 else costs.c_in / costs.c_out
     rhs = math.inf if rho == 1 else rho / (1 - rho)
     holds = Fraction(costs.c_in) * (1 - Fraction(rho)) < Fraction(rho) * Fraction(costs.c_out)

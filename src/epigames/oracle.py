@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
-from .games import CostTable, StrategyProfile
+from .games import CostTable, StrategyProfile, _check_player
 
 
 def enumerate_pure_ne(game: CostTable) -> list[StrategyProfile]:
@@ -45,8 +45,7 @@ def enumerate_dominant(game: CostTable, player: int) -> list[int]:
     Independent of the best-response solver: an action qualifies when, against
     every opponent action, it costs the player no more than each alternative.
     """
-    if player not in (1, 2):
-        raise ValueError(f"player must be 1 or 2, got {player!r}")
+    _check_player(player)
     n_own, n_opp = (game.n1, game.n2) if player == 1 else (game.n2, game.n1)
 
     def own_cost(a: int, o: int) -> Fraction:

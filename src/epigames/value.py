@@ -7,8 +7,9 @@ a number field that is nan, infinite or an int beyond every float, validate
 by ``__post_init__`` and then ``_ranges``, refuse assignment and deletion,
 equal only an instance of the same class with equal fields, and print as
 ``Name(field=value, ...)``.  ``replace`` builds a changed copy and validates
-it again.  Unlike ``dataclasses``, the base costs next to nothing to import
-and to apply, which every command pays at start-up.
+it again.  ``check_range`` words every range breach, of a ``_ranges`` field or
+of a bare argument.  Unlike ``dataclasses``, the base costs next to nothing to
+import and to apply, which every command pays at start-up.
 """
 
 from __future__ import annotations
@@ -20,6 +21,15 @@ from .errors import FieldError
 
 _V = TypeVar("_V", bound="Value")
 _FLOAT_MAX = sys.float_info.max
+
+
+def check_range(name: str, value: float, least: float, greatest: float | None = None) -> None:
+    """Raise a ``FieldError`` naming ``name`` unless least <= value <= greatest, with no
+    upper bound where ``greatest`` is None; nan lies in no range."""
+    if not (least <= value and (greatest is None or value <= greatest)):
+        rule = "non-negative" if least == 0 else f"at least {least}"
+        rule = rule if greatest is None else f"within [{least}, {greatest}]"
+        raise FieldError(f"{name} must be {rule}, got {value}", name)
 
 
 class Value:
@@ -45,10 +55,8 @@ class Value:
         self.__post_init__()
         for field, (least, greatest) in self._ranges.items():
             value = getattr(self, field)  # None is an unset field, such as a policy's parameter
-            if value is not None and not (least <= value and (greatest is None or value <= greatest)):
-                rule = "non-negative" if least == 0 else f"at least {least}"
-                rule = rule if greatest is None else f"within [{least}, {greatest}]"
-                raise FieldError(f"{field} must be {rule}, got {value}", field)
+            if value is not None:
+                check_range(field, value, least, greatest)
 
     @classmethod
     def _merge(cls, args: tuple[object, ...], kwargs: dict[str, object]) -> tuple[object, ...]:

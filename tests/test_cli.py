@@ -494,6 +494,19 @@ def test_cli_import_loads_no_dataclasses_or_introspection():
     assert result.stdout == "[]\n"
 
 
+def test_cli_import_loads_only_the_standard_library():
+    # the runtime is stdlib-only, and numpy or scipy may be installed alongside it, so a
+    # stray import would go unnoticed; under -S, which keeps site hooks and site-packages
+    # out, such an import fails outright, and one found on PYTHONPATH is listed
+    code = (
+        "import sys, epigames.cli\n"
+        "loaded = {name.partition('.')[0] for name in sys.modules}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'epigames', '__main__'}))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=_child_env(), capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
 BASELINE_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.ini"
 
 # sha256 of every report on scenarios/baseline.ini: a change that alters a report's
@@ -1280,12 +1293,31 @@ def test_exponent_form_starts_at_its_documented_magnitude():
     ]
 
 
+@pytest.mark.parametrize("fmt, row", [
+    ("table", "utility_stay          0.000000"),
+    ("csv", "3000,0,0.034,1e+09,0.0077,0,-258800,1.14591e+07,stay"),
+])
+def test_a_negative_zero_cell_prints_as_zero(tmp_path, capsys, fmt, row):
+    # with no cost of staying home, the utility of staying is 0 times the negative
+    # stakes of going out: -0.0, which prints as 0 like every other zero
+    edits = [("distancing", "C", "0"), ("distancing", "L", "1e9")]
+    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    code, out, err = run_cli(capsys, "distancing", "--scenario", path, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert row in out.splitlines()
+
+
+def test_only_an_exact_negative_zero_loses_its_sign():
+    assert cli._render(None, [[-0.0], [-1e-9]], cli.ReportOptions()) == "0.000000  -0.000000\n"
+
+
 def _reference_report(header, rows, fmt, precision):
     """The report of ``rows``, one cell and one line at a time, by the rules the README states."""
     def cell(value):
         if isinstance(value, bool):
             return "true" if value else "false"
         if isinstance(value, float):
+            value = 0.0 if value == 0 else value  # a zero prints unsigned
             if fmt == "csv":
                 return format(value, f".{precision}g")
             exponent = not -cli.EXPONENT_FROM < value < cli.EXPONENT_FROM  # nan too

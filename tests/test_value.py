@@ -1,14 +1,18 @@
 """Tests for the immutable value-type base."""
 
 import math
+from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import sample_policy
 from epigames import (
+    ActionSet,
     BayesianSetting,
     CostBenefitFunction,
+    CostTable,
     DesignerCostModel,
     DistancingParams,
     EfficiencyParams,
@@ -16,6 +20,12 @@ from epigames import (
     MeetingDomain,
     Policy,
     Scenario,
+    bayesian_expected_cost,
+    distancing_utility,
+    efficiency_expected_cost,
+    group_infection_probability,
+    multiplayer_so_condition,
+    oracle,
 )
 from epigames.errors import FieldError
 from epigames.policy import POLICY_KINDS
@@ -221,3 +231,40 @@ def test_constructors_refuse_what_scenario_files_refuse(build, field):
     with pytest.raises(FieldError, match=field) as info:
         build()
     assert info.value.fields == (field,)
+
+
+# each function that takes a bare probability: its name, the argument's name, and a call with it
+_PROBABILITY_ARGUMENTS = [
+    ("distancing_utility", "p", lambda p: distancing_utility(p, _DISTANCING)),
+    ("group_infection_probability", "rho", lambda rho: group_infection_probability(rho, 2.0)),
+    ("bayesian_expected_cost", "p2", lambda p2: bayesian_expected_cost(BayesianSetting(0.5, 0.5), p2, _COSTS)),
+    ("efficiency_expected_cost", "p", lambda p: efficiency_expected_cost(p, EfficiencyParams(), _COSTS)),
+    ("multiplayer_so_condition", "rho", lambda rho: multiplayer_so_condition(rho, _COSTS)),
+]
+
+
+def _argument_breaches():
+    """(call, message, fields) for each bare argument outside its rule; fields is None
+    where the check is not a range, and raises a plain ValueError."""
+    for function, name, build in _PROBABILITY_ARGUMENTS:
+        for bad, shown in [(1.5, "1.5"), (-0.5, "-0.5"), (math.nan, "nan"), (Fraction(3, 2), "3/2")]:
+            message = f"{name} must be within [0, 1], got {shown}"
+            yield pytest.param(partial(build, bad), message, (name,), id=f"{function}-{shown}")
+    game = CostTable(ActionSet(("a",)), ActionSet(("x",)), (((0, 0),),))
+    yield pytest.param(
+        partial(oracle.enumerate_dominant, game, 3), "player must be 1 or 2, got 3", None, id="enumerate_dominant-3"
+    )
+    yield pytest.param(
+        partial(group_infection_probability, 0.5, 10**400),
+        "exposure z must be positive and finite, got an int too large for a float",
+        None,
+        id="group_infection_probability-z-10**400",
+    )
+
+
+@pytest.mark.parametrize("call, message, fields", list(_argument_breaches()))
+def test_bare_arguments_are_checked_by_the_one_rule(call, message, fields):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValueError if fields is None else FieldError, message)
+    assert getattr(info.value, "fields", None) == fields
