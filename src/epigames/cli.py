@@ -64,6 +64,7 @@ class ReportOptions(Value):
     fmt: str = "table"
     precision: int = 6
     verify: bool = False
+    _ranges = {"precision": (1, MAX_PRECISION)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -478,20 +479,17 @@ def run(argv: list[str] | None = None) -> int:
     """Parse arguments, dispatch, and emit the report; returns the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 1 <= args.precision <= MAX_PRECISION:
-        rule = "at least 1" if args.precision < 1 else f"at most {MAX_PRECISION}"
-        print(f"epigames: error: --precision must be {rule}", file=sys.stderr)
-        return 1
-    opts = ReportOptions(fmt=args.format, precision=args.precision, verify=args.verify)
     try:
-        config = parse_scenario(args.scenario)
-        if args.grid_steps is not None:
-            try:  # MeetingDomain states the grid_steps rule for the flag and the file alike
-                domain = config.meeting_domain.replace(grid_steps=args.grid_steps)
-            except FieldError as exc:
-                print(f"epigames: error: --grid-steps: {exc}", file=sys.stderr)
-                return 1
-            config = config.replace(meeting_domain=domain)
+        # ReportOptions states the --precision rule, checked before the scenario is read,
+        # and MeetingDomain the --grid-steps rule, for the flag and the file alike
+        try:
+            opts = ReportOptions(fmt=args.format, precision=args.precision, verify=args.verify)
+            config = parse_scenario(args.scenario)
+            if args.grid_steps is not None:
+                config = config.replace(meeting_domain=config.meeting_domain.replace(grid_steps=args.grid_steps))
+        except FieldError as exc:  # a flag's: the reader words a breach in the file as a ScenarioError
+            print(f"epigames: error: --{exc.fields[0].replace('_', '-')}: {exc}", file=sys.stderr)
+            return 1
         report = _COMMANDS[args.command][1](config, opts)
         report, warnings = (report, []) if isinstance(report, str) else report
     except ScenarioError as exc:

@@ -1,12 +1,19 @@
-"""Shared fixtures and hypothesis strategies."""
+"""Shared fixtures, hypothesis strategies, and the writing and running of scenarios."""
+
+import configparser
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from epigames import ActionSet, CostTable, MaskCosts, Policy
+from epigames import ActionSet, CostTable, MaskCosts, Policy, cli
 from epigames.policy import POLICY_PARAMS
 
 SAMPLE_PARAMS = {"subsidy": 12.5, "limit": 7, "per_test_cost": 3.25, "traced_fraction": 0.4}
+BASELINE_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.ini"
 
 
 @pytest.fixture
@@ -55,4 +62,41 @@ def restrict(game, keep_p1, keep_p2):
         ActionSet(tuple(game.actions_p1.labels[i] for i in rows)),
         ActionSet(tuple(game.actions_p2.labels[j] for j in cols)),
         tuple(tuple(game.costs[i][j] for j in cols) for i in rows),
+    )
+
+
+def edited_scenario(directory, edits=(), sections=None, text=None):
+    """Write ``text`` (default: the bundled scenario's) to ``directory``/edited.ini with each
+    section of ``sections`` replaced by its keys, or removed where they are None, and then
+    each (section, key, value) of ``edits`` set, in order, where a callable value maps the
+    key's current text to its new one; returns the path."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(BASELINE_FILE.read_text(encoding="utf-8") if text is None else text)
+    for section, keys in (sections or {}).items():
+        parser.remove_section(section)
+        if keys is not None:
+            parser[section] = keys
+    for section, key, value in edits:
+        parser[section][key] = value(parser[section][key]) if callable(value) else value
+    path = Path(directory) / "edited.ini"
+    with open(path, "w", encoding="utf-8") as handle:
+        parser.write(handle)
+    return str(path)
+
+
+def child_env(**changes):
+    """This environment with the tested package first on PYTHONPATH, and each of
+    ``changes`` set, or removed where it is None."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **changes}
+    return {key: value for key, value in env.items() if value is not None}
+
+
+def cli_process(args, stdout=subprocess.PIPE, **env):
+    """``python -m epigames.cli *args`` writing its report to ``stdout``, with ``env``
+    changed; a run that takes more than a minute fails."""
+    return subprocess.run(
+        [sys.executable, "-m", "epigames.cli", *args],
+        env=child_env(**env), stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
     )

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SAMPLE_PARAMS
+from conftest import BASELINE_FILE, SAMPLE_PARAMS, child_env, cli_process, edited_scenario
 from epigames import cli, distancing, oracle, pair_game, parse_scenario, solve
 from epigames.distancing import (
     MAX_GRID_STEPS,
@@ -304,23 +304,10 @@ def _non_finite_cases():
             yield "policies", kind, f"{kind} {params}", (f"[policies].{kind}", name)
 
 
-def _edited_scenario(tmp_path, text, edits):
-    """Write ``text`` with each (section, key, value) of ``edits`` set, in order; returns the path."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    parser.read_string(text)
-    for section, key, value in edits:
-        parser[section][key] = value
-    path = tmp_path / "edited.ini"
-    with open(path, "w", encoding="utf-8") as handle:
-        parser.write(handle)
-    return str(path)
-
-
 def _run_with(tmp_path, capsys, section, key, value):
     """Run policy-compare on BASELINE (with [mask] a, b) with one value replaced."""
     edits = [("mask", "a", "0.25"), ("mask", "b", "0.5"), (section, key, value)]
-    return run_cli(capsys, "policy-compare", "--scenario", _edited_scenario(tmp_path, BASELINE, edits))
+    return run_cli(capsys, "policy-compare", "--scenario", edited_scenario(tmp_path, edits, text=BASELINE))
 
 
 def _assert_one_line_scenario_error(code, out, err, named):
@@ -473,41 +460,21 @@ def test_renderers_spell_every_kind_of_cell():
     )
 
 
-def _child_env(**changes):
-    """This environment with the tested package first on PYTHONPATH, and each of
-    ``changes`` set, or removed where it is None."""
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **changes}
-    return {key: value for key, value in env.items() if value is not None}
-
-
-def test_cli_import_loads_no_dataclasses_or_introspection():
-    # dataclasses and the introspection modules it imports would add about 35 ms to
-    # every command's start-up; -S keeps site hooks, which may import anything, out
-    code = (
-        "import sys, epigames.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=_child_env(), capture_output=True, text=True, check=True
-    )
-    assert result.stdout == "[]\n"
-
-
 def test_cli_import_loads_only_the_standard_library():
     # the runtime is stdlib-only, and numpy or scipy may be installed alongside it, so a
     # stray import would go unnoticed; under -S, which keeps site hooks and site-packages
-    # out, such an import fails outright, and one found on PYTHONPATH is listed
+    # out, such an import fails outright, and one found on PYTHONPATH is listed.
+    # dataclasses and the introspection modules it imports are standard, but would add
+    # about 35 ms to every command's start-up
     code = (
         "import sys, epigames.cli\n"
         "loaded = {name.partition('.')[0] for name in sys.modules}\n"
-        "print(sorted(loaded - set(sys.stdlib_module_names) - {'epigames', '__main__'}))"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'epigames', '__main__'}))\n"
+        "print(sorted(loaded & {'dataclasses', 'inspect', 'ast', 'dis'}))"
     )
-    result = subprocess.run([sys.executable, "-S", "-c", code], env=_child_env(), capture_output=True, text=True)
-    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=child_env(), capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "[]\n[]\n"), result.stderr
 
-
-BASELINE_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.ini"
 
 # sha256 of every report on scenarios/baseline.ini: a change that alters a report's
 # bytes must update this table on purpose
@@ -532,9 +499,16 @@ GOLDEN_DIGESTS = {
 @pytest.mark.parametrize("fmt", ["table", "csv"])
 @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
 def test_baseline_reports_match_their_golden_digests(capsys, command, fmt):
-    code, out, err = run_cli(capsys, command, "--scenario", str(BASELINE_FILE), "--format", fmt)
-    assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[command, fmt]
+    args = [command, "--scenario", str(BASELINE_FILE), "--format", fmt]
+    runs = [run_cli(capsys, *args)]
+    # set and dict order must not leak into a report: each hash seed, checked or not, prints it alike
+    for seed in ("0", "1"):
+        for flags in ([], ["--verify"]):
+            result = cli_process([*args, *flags], PYTHONHASHSEED=seed)
+            runs.append((result.returncode, result.stdout, result.stderr))
+    for code, out, err in runs:
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[command, fmt]
 
 
 # the reports whose table is two columns of keys and values, and whose csv is one row under the keys
@@ -620,7 +594,7 @@ def test_mask_efficiency_verify_differences_costs_near_the_float_range(tmp_path,
     # 2 * cost_at(0.5) would overflow in the prices' own unit
     edits = [("mask", "c_use", "0.88e308"), ("mask", "c_infection", "0.89e308"),
              ("mask", "a", "0.99"), ("mask", "b", "0.99")]
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     plain = run_cli(capsys, "mask-efficiency", "--scenario", path)
     assert plain[0] == 0 and plain[2] == ""
     assert run_cli(capsys, "mask-efficiency", "--scenario", path, "--verify") == plain
@@ -629,7 +603,7 @@ def test_mask_efficiency_verify_differences_costs_near_the_float_range(tmp_path,
 def test_overflowing_aggregate_exits_two_naming_it(tmp_path, capsys):
     # n converts to a float, but n times a mask price does not fit in one
     edits = [("population", "n", "1" + "0" * 307)]
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     code, out, err = run_cli(capsys, "policy-compare", "--scenario", path, "--format", "csv")
     assert code == 2 and out == ""
     assert err == (
@@ -640,7 +614,7 @@ def test_overflowing_aggregate_exits_two_naming_it(tmp_path, capsys):
 def test_overflowing_testing_spend_exits_two_naming_it(tmp_path, capsys):
     # each test's price is finite, but the population's tests are not
     edits = [("policies", "baseline", "mass_testing per_test_cost=1e306")]
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     code, out, err = run_cli(capsys, "policy-compare", "--scenario", path, "--format", "csv")
     assert (code, out) == (2, "")
     assert err == (
@@ -665,7 +639,7 @@ def test_overflowing_testing_spend_exits_two_naming_it(tmp_path, capsys):
     ],
 )
 def test_float_range_failures_exit_two_naming_them(tmp_path, capsys, command, edits, message):
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     for flags in ([], ["--verify"]):
         code, out, err = run_cli(capsys, command, "--scenario", path, *flags)
         assert (code, out, err) == (2, "", f"epigames: domain error: {message}\n")
@@ -673,7 +647,7 @@ def test_float_range_failures_exit_two_naming_them(tmp_path, capsys, command, ed
 
 def test_curvature_whose_float_intermediates_overflow_is_reported(tmp_path, capsys):
     # 2 * c_infection overflows a float, but the curvature (4/9) * c_infection does not
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), [("mask", "c_infection", "1e308")])
+    path = edited_scenario(tmp_path, [("mask", "c_infection", "1e308")])
     for flags in ([], ["--verify"]):
         code, out, err = run_cli(capsys, "mask-efficiency", "--scenario", path, *flags)
         assert (code, err) == (0, "")
@@ -684,7 +658,7 @@ def test_mask_bayesian_price_threshold_lies_above_c_use_when_wearing(tmp_path, c
     # the ratio times c_infection, each rounded, gives c_use itself
     edits = [("bayesian", "rho", "0.23433096104669637"), ("bayesian", "p1", "0.9956448355104628"),
              ("mask", "c_use", "3.7160490455642816"), ("mask", "c_infection", "4755.608724472235")]
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     code, out, err = run_cli(
         capsys, "mask-bayesian", "--scenario", path, "--format", "csv", "--precision", "17", "--verify"
     )
@@ -751,7 +725,7 @@ def test_overflowing_mask_costs_exit_two_naming_the_cost(tmp_path, capsys, comma
     # every price is a valid float, but an infected player's c_out + c_infection is not
     edits = [("mask", "c_out", "1e307"), ("mask", "c_in", "1e308"),
              ("mask", "c_use", "1e308"), ("mask", "c_infection", "1.7e308")]
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     for flags in ([], ["--format", "csv"], ["--verify"]):
         result = run_cli(capsys, command, "--scenario", path, *flags)
         assert result == (2, "", f"epigames: domain error: {message}\n")
@@ -781,7 +755,7 @@ def test_mask_basic_decides_exactly_where_a_float_sum_drops_the_price(tmp_path, 
     # 5.5e14 is a float with a step of 0.0625, so each price vanishes when a float adds it
     edits = [("mask", "c_out", "0.005"), ("mask", "c_in", "0.03"),
              ("mask", "c_use", "0.03"), ("mask", "c_infection", "5.5e14")]
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     code, out, err = run_cli(capsys, "mask-basic", "--scenario", path, "--verify", "--format", "csv")
     assert (code, err) == (0, "")
     listed = {}
@@ -804,7 +778,7 @@ def test_mask_basic_decides_exactly_where_a_float_sum_drops_the_price(tmp_path, 
 @pytest.mark.parametrize("command", ["meeting-opt", "curves", "policy-compare"])
 def test_tiny_infection_risk_gives_a_report(tmp_path, capsys, command):
     # the risk at z_min is about 1e-201: 1 - (1-rho)^z rounded it to 0, its stable form does not
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), [("distancing", "rho", "1e-200")])
+    path = edited_scenario(tmp_path, [("distancing", "rho", "1e-200")])
     for flags in ([], ["--verify"]):
         code, out, err = run_cli(capsys, command, "--scenario", path, "--format", "csv", *flags)
         assert (code, err) == (0, "")
@@ -815,7 +789,7 @@ def test_tiny_infection_risk_gives_a_report(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["meeting-opt", "curves", "policy-compare"])
 def test_zero_risk_goes_out_at_z_min_with_unbounded_stakes(tmp_path, capsys, command, key):
     edits = [("distancing", key, "0"), ("meeting", "grid_steps", "40")]
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     for flags in ([], ["--verify"]):
         code, out, err = run_cli(capsys, command, "--scenario", path, "--format", "csv", *flags)
         assert (code, err) == (0, "")
@@ -853,6 +827,11 @@ def test_endless_device_exits_one_after_reading_past_the_cap(capsys):
     _assert_one_line_scenario_error(*result, ("/dev/zero", "larger than"))
 
 
+FLAT_WINDOW = [("distancing", "rho", "1"), ("distancing", "m", "1"), ("functions", "benefit", "constant:0"),
+               ("functions", "cost", "linear:1e-9,4096"), ("meeting", "z_min", "91.9375"),
+               ("meeting", "z_max", "92"), ("meeting", "grid_steps", "121")]
+
+
 @pytest.mark.parametrize(
     "command, edits",
     [
@@ -877,10 +856,12 @@ def test_endless_device_exits_one_after_reading_past_the_cap(capsys):
              ("distancing", "rho", "0.8827437508640471")],
             id="near-tie-distancing",
         ),
+        # a window flat to below one ulp per grid step, where the scan's tie rule picks an inner point
+        *(pytest.param(command, FLAT_WINDOW, id=f"flat-window-{command}") for command in ("meeting-opt", "curves")),
     ],
 )
 def test_verify_tolerates_rounding(tmp_path, capsys, command, edits):
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     code, out, err = run_cli(capsys, command, "--scenario", path, "--verify")
     assert (code, err) == (0, "")
 
@@ -972,7 +953,7 @@ def test_policy_warnings_go_to_stderr_in_input_order(tmp_path, capsys):
         ("policies", "tested", "gathering_cap limit=10, lockdown, mass_testing per_test_cost=50"),
         ("policies", "locked", "lockdown, gathering_cap limit=5"),
     ]
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     code, out, err = run_cli(capsys, "policy-compare", "--scenario", path)
     assert code == 0
     # "locked" ranks above "tested", but warnings follow the scenario file's order
@@ -1012,7 +993,7 @@ def test_equal_sets_keep_file_order_in_names_and_warnings(tmp_path, capsys):
 
 def test_a_set_warns_once_of_its_first_conflict(tmp_path, capsys):
     edits = [("policies", "many", ", ".join(["gathering_cap limit=10"] + ["lockdown"] * 1000))]
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     code, _, err = run_cli(capsys, "policy-compare", "--scenario", path, "--format", "csv")
     assert code == 0
     assert err == "epigames: warning: [policies].many: lockdown overrides gathering_cap (stricter policy wins)\n"
@@ -1020,7 +1001,7 @@ def test_a_set_warns_once_of_its_first_conflict(tmp_path, capsys):
 
 def test_an_unwritable_out_exits_one_with_one_line_and_no_warning(tmp_path, capsys):
     edits = [("policies", "locked", "lockdown, gathering_cap limit=5")]
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     target = tmp_path / "missing" / "report.txt"
     code, out, err = run_cli(capsys, "policy-compare", "--scenario", path, "--out", str(target))
     assert (code, out) == (1, "")
@@ -1061,7 +1042,7 @@ class _FailingStdout(io.StringIO):
 def test_an_unwritable_stdout_exits_one_with_one_line_and_no_warning(tmp_path, method, error):
     # an unbuffered stdout fails in write, a buffered one in flush
     edits = [("policies", "locked", "lockdown, gathering_cap limit=5")]
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     err = io.StringIO()
     with contextlib.redirect_stdout(_FailingStdout(method, error)), contextlib.redirect_stderr(err):
         code = cli.run(["policy-compare", "--scenario", path])
@@ -1076,19 +1057,11 @@ def test_a_closed_stdout_exits_one_with_one_line():
     assert (code, err.getvalue()) == (1, f"epigames: cannot write <stdout>: {_os_error(errno.EBADF)}\n")
 
 
-def _cli_process(args, stdout, **env):
-    """``python -m epigames.cli *args`` writing its report to ``stdout``, with ``env`` changed."""
-    return subprocess.run(
-        [sys.executable, "-m", "epigames.cli", *args],
-        env=_child_env(**env), stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
-    )
-
-
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 def test_a_full_device_on_stdout_exits_one_with_one_line(unbuffered):
     with open("/dev/full", "w") as full:
-        result = _cli_process(
+        result = cli_process(
             ["mask-basic", "--scenario", str(BASELINE_FILE)], full, PYTHONUNBUFFERED=unbuffered
         )
     assert result.returncode == 1
@@ -1100,7 +1073,7 @@ def test_a_closed_pipe_on_stdout_exits_one_with_one_line(unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before the report is written, so no byte of it lands
     try:
-        result = _cli_process(
+        result = cli_process(
             ["mask-basic", "--scenario", str(BASELINE_FILE)], write_end, PYTHONUNBUFFERED=unbuffered
         )
     finally:
@@ -1127,7 +1100,7 @@ def test_help_to_an_unwritable_stdout_exits_one_with_one_line(method, error):
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 def test_help_to_a_full_device_exits_one_with_one_line(unbuffered):
     with open("/dev/full", "w") as full:
-        result = _cli_process(["--help"], full, PYTHONUNBUFFERED=unbuffered)
+        result = cli_process(["--help"], full, PYTHONUNBUFFERED=unbuffered)
     assert result.returncode == 1
     assert result.stderr == f"epigames: cannot write <stdout>: {_os_error(errno.ENOSPC)}\n"
 
@@ -1138,7 +1111,7 @@ def test_a_pipe_closed_after_one_line_exits_one_with_one_line(unbuffered):
     process = subprocess.Popen(
         [sys.executable, "-m", "epigames.cli", "curves", "--scenario", str(BASELINE_FILE),
          "--grid-steps", "20000"],
-        env=_child_env(PYTHONUNBUFFERED=unbuffered),
+        env=child_env(PYTHONUNBUFFERED=unbuffered),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     try:
@@ -1156,15 +1129,8 @@ def test_a_pipe_closed_after_one_line_exits_one_with_one_line(unbuffered):
 def _policy_rows(tmp_path, capsys, edits, policies):
     """policy-compare --format csv --verify on the bundled scenario with ``edits`` and only
     the ``policies`` sets; returns the rows by set name."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    parser.read(BASELINE_FILE, encoding="utf-8")
-    parser.remove_section("policies")
-    parser["policies"] = policies
-    text = io.StringIO()
-    parser.write(text)
     code, out, err = run_cli(
-        capsys, "policy-compare", "--scenario", _edited_scenario(tmp_path, text.getvalue(), edits),
+        capsys, "policy-compare", "--scenario", edited_scenario(tmp_path, edits, {"policies": policies}),
         "--format", "csv", "--verify", "--precision", "17",
     )
     assert (code, err) == (0, "")
@@ -1251,18 +1217,18 @@ def test_out_of_range_flag_exits_one_naming_the_flag(capsys, flag, value):
 
 
 @pytest.mark.parametrize(
-    "command, value",
+    "command, value, rule",
     [
-        ("curves", "1000000"),  # about 20 GB of cell text
-        ("distancing", "3000000000"),  # past what format() takes
-        ("distancing", "1" + "0" * 400),  # past what ReportOptions takes
+        ("curves", "1000000", "within [1, 17], got 1000000"),  # about 20 GB of cell text
+        ("distancing", "3000000000", "within [1, 17], got 3000000000"),  # past what format() takes
+        ("distancing", "1" + "0" * 400, "a finite number, got an int too large for a float"),
     ],
     ids=["curves-1e6", "distancing-3e9", "distancing-1e400"],
 )
-def test_precision_above_the_maximum_exits_one_before_any_work(capsys, command, value):
+def test_precision_above_the_maximum_exits_one_before_any_work(capsys, command, value, rule):
     # the scenario does not exist: the flag is refused before the file is read
     code, out, err = run_cli(capsys, command, "--scenario", "missing.ini", "--precision", value)
-    assert (code, out, err) == (1, "", f"epigames: error: --precision must be at most {cli.MAX_PRECISION}\n")
+    assert (code, out, err) == (1, "", f"epigames: error: --precision: precision must be {rule}\n")
 
 
 def test_maximum_precision_round_trips_every_cell(capsys):
@@ -1277,7 +1243,7 @@ def test_maximum_precision_round_trips_every_cell(capsys):
 
 def test_huge_table_cells_print_in_exponent_form(tmp_path, capsys):
     edits = [("mask", "c_use", "0.88e308"), ("mask", "c_infection", "0.89e308")]
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     code, out, err = run_cli(capsys, "mask-efficiency", "--scenario", path)
     assert (code, err) == (0, "")
     assert max(map(len, out.splitlines())) <= 80
@@ -1301,7 +1267,7 @@ def test_a_negative_zero_cell_prints_as_zero(tmp_path, capsys, fmt, row):
     # with no cost of staying home, the utility of staying is 0 times the negative
     # stakes of going out: -0.0, which prints as 0 like every other zero
     edits = [("distancing", "C", "0"), ("distancing", "L", "1e9")]
-    path = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits)
+    path = edited_scenario(tmp_path, edits)
     code, out, err = run_cli(capsys, "distancing", "--scenario", path, "--format", fmt)
     assert (code, err) == (0, "")
     assert row in out.splitlines()
@@ -1387,14 +1353,7 @@ SECTIONS_READ = {
     [(command, section) for command, sections in SECTIONS_READ.items() for section in sections],
 )
 def test_missing_section_exits_one_naming_it(tmp_path, capsys, command, section):
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    parser.read(BASELINE_FILE, encoding="utf-8")
-    parser.remove_section(section)
-    path = tmp_path / "thin.ini"
-    with open(path, "w", encoding="utf-8") as handle:
-        parser.write(handle)
-    result = run_cli(capsys, command, "--scenario", str(path))
+    result = run_cli(capsys, command, "--scenario", edited_scenario(tmp_path, sections={section: None}))
     _assert_one_line_scenario_error(*result, (f"the [{section}] section",))
 
 
@@ -1408,7 +1367,7 @@ def test_grid_steps_bound_holds_for_the_file_and_the_flag(tmp_path, capsys, via,
     path, flags = str(BASELINE_FILE), ["--grid-steps", str(steps)]
     if via == "file":
         edits = [("meeting", "grid_steps", str(steps))]
-        path, flags = _edited_scenario(tmp_path, BASELINE_FILE.read_text(encoding="utf-8"), edits), []
+        path, flags = edited_scenario(tmp_path, edits), []
     result = run_cli(capsys, "mask-basic", "--scenario", path, *flags)
     if code == 0:
         assert result[0] == 0 and result[2] == ""

@@ -1,11 +1,8 @@
 """Tests for scenario file parsing and validation."""
 
-import configparser
-import io
-
 import pytest
 
-from conftest import SAMPLE_PARAMS, sample_policy
+from conftest import SAMPLE_PARAMS, edited_scenario, sample_policy
 from epigames import (
     CostBenefitFunction,
     EfficiencyParams,
@@ -65,17 +62,6 @@ def write(tmp_path, text, name="scenario.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
-
-
-def full_with(section, key, value):
-    """FULL with one value replaced."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    parser.read_string(FULL)
-    parser[section][key] = value
-    text = io.StringIO()
-    parser.write(text)
-    return text.getvalue()
 
 
 class TestParsing:
@@ -183,7 +169,7 @@ class TestValidationMessages:
     )
     def test_range_rule_names_section_and_key(self, tmp_path, section, key, value, message):
         with pytest.raises(ScenarioError, match=message):
-            parse_scenario(write(tmp_path, full_with(section, key, value)))
+            parse_scenario(edited_scenario(tmp_path, [(section, key, value)], text=FULL))
 
     def test_unknown_section_named(self, tmp_path):
         with pytest.raises(ScenarioError, match=r"unknown section 'masks'"):
