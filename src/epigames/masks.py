@@ -66,16 +66,18 @@ class MaskCosts(Value):
     c_use: float
     c_infection: float
 
+    _ranges = {"c_out": (0, None), "c_use": (0, None)}
+
     def __post_init__(self) -> None:
-        if not (0 <= self.c_out < self.c_in < self.c_infection):
+        if not self.c_out < self.c_in < self.c_infection:
             raise FieldError(
-                "mask costs must satisfy 0 <= c_out < c_in < c_infection, got "
+                "mask costs must satisfy c_out < c_in < c_infection, got "
                 f"c_out={self.c_out}, c_in={self.c_in}, c_infection={self.c_infection}",
                 "c_out", "c_in", "c_infection",
             )
-        if not (0 <= self.c_use < self.c_infection):
+        if not self.c_use < self.c_infection:
             raise FieldError(
-                "mask costs must satisfy 0 <= c_use < c_infection, got "
+                "mask costs must satisfy c_use < c_infection, got "
                 f"c_use={self.c_use}, c_infection={self.c_infection}",
                 "c_use", "c_infection",
             )

@@ -94,9 +94,9 @@ class Policy(Value):
     Exactly the parameters belonging to ``kind`` (``POLICY_PARAMS``) may be
     set, by keyword, ``Policy(FREE_MASKS, subsidy=50.0)``, or from a scenario
     file's text, ``Policy.parse("free_masks subsidy=50")``.  For both,
-    ``__post_init__`` checks the kind, the names and the limit, and ``_ranges``
-    holds the other parameters to their ranges; ``describe`` prints each value
-    exactly.
+    ``__post_init__`` checks the kind, the names and that a limit is an integer,
+    and ``_ranges`` holds each parameter to its range; ``describe`` prints each
+    value exactly.
     """
 
     kind: str
@@ -105,16 +105,13 @@ class Policy(Value):
     per_test_cost: float | None = None
     traced_fraction: float | None = None
 
-    _ranges = {"subsidy": (0, None), "per_test_cost": (0, None), "traced_fraction": (0, 1)}
+    _ranges = {"subsidy": (0, None), "limit": (1, None), "per_test_cost": (0, None), "traced_fraction": (0, 1)}
 
     def __post_init__(self) -> None:
         params = self._fields[1:]  # every field after kind is a parameter
         _check_params(self.kind, [name for name in params if getattr(self, name) is not None])
-        if self.limit is not None:
-            if not isinstance(self.limit, int) or isinstance(self.limit, bool):
-                raise ValueError(f"gathering limit must be an integer, got {self.limit!r}")
-            if self.limit <= 0:
-                raise ValueError(f"gathering limit must be positive, got {self.limit}")
+        if self.limit is not None and (not isinstance(self.limit, int) or isinstance(self.limit, bool)):
+            raise ValueError(f"gathering limit must be an integer, got {self.limit!r}")
 
     @classmethod
     def parse(cls, text: str) -> "Policy":
@@ -230,7 +227,7 @@ def apply_policies(scenario: Scenario, policies: Iterable[Policy]) -> tuple[Scen
             revealed = max(revealed, fraction)
             outlay = outlay + fraction * (scenario.population * policy.per_test_cost)
             if not math.isfinite(outlay):
-                raise DomainError(f"testing_outlay is {outlay}: the scenario's magnitudes overflow a float")
+                raise DomainError(f"testing_outlay is {outlay}: the scenario's magnitudes leave a float's range")
     return scenario.replace(
         mask_mandate=mandate, mask_costs=costs, gathering_limit=limit,
         revealed_fraction=revealed, testing_outlay=outlay,
@@ -340,7 +337,7 @@ def evaluate_mechanism(
     }
     for name, value in aggregates.items():
         if not math.isfinite(value):
-            raise DomainError(f"{name} is {value}: the scenario's magnitudes overflow a float")
+            raise DomainError(f"{name} is {value}: the scenario's magnitudes leave a float's range")
     return MechanismReport(citizen_outcome=outcome, warnings=warnings, **aggregates)
 
 

@@ -35,6 +35,8 @@ class ScenarioConfig(Value):
     policy_sets: tuple[tuple[str, tuple[Policy, ...]], ...] | None = None
     designer: DesignerCostModel | None = None
 
+    _ranges = {"population": Scenario._ranges["population"]}  # the one rule, stated by Scenario
+
     def require(self, *names: str):
         """The named fields' values, like ``operator.itemgetter``: one name gives its
         value, several a tuple.  The first field whose section the file omits (or
@@ -60,21 +62,13 @@ MAX_SCENARIO_BYTES = 1 << 20
 
 
 # The readers turn a key's text into its value and raise ValueError when they
-# cannot; the value types then check every range rule but the two below.
+# cannot; the value types then check every range rule but the one below.
 def _price(raw: str) -> float:
     # MaskCosts accepts a zero c_out or c_use, which a free_masks subsidy can reach,
     # but a scenario file gives market prices
     value = read_number(raw)
     if value <= 0:
         raise ValueError(f"must be > 0, got {echo(raw)}")
-    return value
-
-
-def _population(raw: str) -> int:
-    # no value type holds the population until to_scenario builds a Scenario
-    value = read_integer(raw)
-    if value < 2:
-        raise ValueError(f"must be >= 2, got {echo(raw)}")
     return value
 
 
@@ -119,7 +113,7 @@ _SECTIONS: dict[str, dict[str, tuple[str, str | None, Callable[[str], object]]] 
         "z_max": ("meeting_domain", "z_max", read_number),
         "grid_steps": ("meeting_domain", "grid_steps", read_integer),
     },
-    "population": {"n": ("population", None, _population)},
+    "population": {"n": ("population", None, read_integer)},
     "policies": None,
     "designer": {
         "weight_infection": ("designer", "weight_infection", read_number),
@@ -185,7 +179,7 @@ def _read_lines(path: str | Path) -> list[str]:
 def parse_scenario(path: str | Path) -> ScenarioConfig:
     """Read and fully validate a scenario file.
 
-    The reader checks names, syntax, presence and the two range rules no type
+    The reader checks names, syntax, presence and the one range rule no type
     states; the value types check finiteness and every other range rule, and
     the reader names the file's section and keys in their errors.
     """
@@ -240,5 +234,5 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
             values[field] = _build(section, field, attrs)
     try:
         return ScenarioConfig(**values)
-    except FieldError as exc:  # the population is the one number no section type holds
+    except FieldError as exc:  # ScenarioConfig's one range: the population, no section type's
         raise ScenarioError(f"[population].n: {exc}") from None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from typing import TypeVar
 
-from .errors import FieldError
+from .errors import _ECHO_CHARS, FieldError, echo
 
 _V = TypeVar("_V", bound="Value")
 _FLOAT_MAX = sys.float_info.max
@@ -25,11 +25,14 @@ _FLOAT_MAX = sys.float_info.max
 
 def check_range(name: str, value: float, least: float, greatest: float | None = None) -> None:
     """Raise a ``FieldError`` naming ``name`` unless least <= value <= greatest, with no
-    upper bound where ``greatest`` is None; nan lies in no range."""
+    upper bound where ``greatest`` is None; nan lies in no range.  A value whose text
+    is longer than 40 characters, such as an int of 301 digits, is cut by ``echo``."""
     if not (least <= value and (greatest is None or value <= greatest)):
         rule = "non-negative" if least == 0 else f"at least {least}"
         rule = rule if greatest is None else f"within [{least}, {greatest}]"
-        raise FieldError(f"{name} must be {rule}, got {value}", name)
+        shown = str(value)
+        shown = shown if len(shown) <= _ECHO_CHARS else echo(shown)
+        raise FieldError(f"{name} must be {rule}, got {shown}", name)
 
 
 class Value:

@@ -267,25 +267,6 @@ class TestCommandTable:
         assert parser.parse_args([*options, command]) == after
         assert (after.command, after.scenario, after.grid_steps, after.precision) == (command, "s.ini", 40, 3)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            [],
-            ["nope", "--scenario", "s.ini"],
-            ["curves"],
-            ["curves", "--scenario", "s.ini", "--format", "xml"],
-            ["curves", "--scenario", "s.ini", "--precision", "abc"],
-        ],
-        ids=["no-arguments", "unknown-command", "no-scenario", "format-xml", "precision-abc"],
-    )
-    def test_usage_error_exits_one_with_one_line(self, capsys, argv):
-        with pytest.raises(SystemExit) as exit_info:
-            cli.run(argv)
-        captured = capsys.readouterr()
-        assert exit_info.value.code == 1 and captured.out == ""
-        # argparse words the message differently from one Python version to the next
-        assert captured.err.count("\n") == 1 and captured.err.startswith("epigames: error: ")
-
 
 def _non_finite_cases():
     """(section, key, value template, texts the error must name) for every
@@ -304,10 +285,10 @@ def _non_finite_cases():
             yield "policies", kind, f"{kind} {params}", (f"[policies].{kind}", name)
 
 
-def _run_with(tmp_path, capsys, section, key, value):
+def _run_with(tmp_path, capsys, section, key, value, *flags):
     """Run policy-compare on BASELINE (with [mask] a, b) with one value replaced."""
     edits = [("mask", "a", "0.25"), ("mask", "b", "0.5"), (section, key, value)]
-    return run_cli(capsys, "policy-compare", "--scenario", edited_scenario(tmp_path, edits, text=BASELINE))
+    return run_cli(capsys, "policy-compare", "--scenario", edited_scenario(tmp_path, edits, text=BASELINE), *flags)
 
 
 def _assert_one_line_scenario_error(code, out, err, named):
@@ -352,22 +333,35 @@ def test_int_beyond_every_float_exits_one_naming_the_key(
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+DIGITS_301 = "1" + "0" * 300  # an int a float holds, of a text longer than an error line echoes
+
+
 @pytest.mark.parametrize(
-    "section, key, value, named",
+    "section, key, value, flags, named",
     [
-        pytest.param("population", "n", "1" + "0" * 5000, ("[population].n",), id="n"),
-        pytest.param("meeting", "grid_steps", "1" + "0" * 5000, ("[meeting].grid_steps",), id="grid_steps"),
-        pytest.param("distancing", "B", "1." + "0x" * 2499, ("[distancing].B", "5000 characters"), id="float"),
-        pytest.param("population", "n", "-" + "1" * 4000, ("[population].n", ">= 2", "4001 characters"), id="n-below-2"),
-        pytest.param("mask", "c_out", "-" + "0" * 5000, ("[mask].c_out", "> 0", "5001 characters"), id="price"),
+        pytest.param("population", "n", "1" + "0" * 5000, [], ("[population].n",), id="n"),
+        pytest.param("meeting", "grid_steps", "1" + "0" * 5000, [], ("[meeting].grid_steps",), id="grid_steps"),
+        pytest.param("distancing", "B", "1." + "0x" * 2499, [], ("[distancing].B", "5000 characters"), id="float"),
+        pytest.param("population", "n", "-" + "1" * 4000, [], ("[population].n", "finite"), id="n-below-2"),
+        pytest.param("mask", "c_out", "-" + "0" * 5000, [], ("[mask].c_out", "> 0", "5001 characters"), id="price"),
+        # a range rule prints the number it refuses, cut as an echoed text is
+        pytest.param("meeting", "grid_steps", DIGITS_301, [],
+                     ("[meeting].grid_steps: grid_steps must be within", "301 characters"), id="grid_steps-301"),
+        pytest.param("meeting", "grid_steps", "40", ["--grid-steps", DIGITS_301],
+                     ("--grid-steps: grid_steps must be within", "301 characters"), id="grid-steps-flag-301"),
+        pytest.param("policies", "cap", f"gathering_cap limit=-{DIGITS_301}", [],
+                     ("[policies].cap: limit must be at least 1", "302 characters"), id="limit-301"),
+        pytest.param("population", "n", f"-{DIGITS_301}", [],
+                     ("[population].n: population must be at least 2", "302 characters"), id="n-301"),
     ],
 )
-def test_long_number_text_exits_one_with_a_short_line(tmp_path, capsys, section, key, value, named):
-    result = _run_with(tmp_path, capsys, section, key, value)
-    _assert_one_line_scenario_error(*result, named)
-    err = result[2]
+def test_long_number_text_exits_one_with_a_short_line(tmp_path, capsys, section, key, value, flags, named):
+    code, out, err = _run_with(tmp_path, capsys, section, key, value, *flags)
+    prefix = "epigames: error: " if flags else "epigames: scenario error: "
+    assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith(prefix)
+    assert all(text in err for text in named)
     assert len(err) < 200
-    if INT_DIGIT_LIMIT and value.isdecimal():  # int() refused the text for its length
+    if INT_DIGIT_LIMIT and value.isdecimal() and len(value) > INT_DIGIT_LIMIT:  # int() refused the text
         assert f"expected an integer of at most {INT_DIGIT_LIMIT} digits" in err
         assert "5001 characters" in err
 
@@ -607,7 +601,7 @@ def test_overflowing_aggregate_exits_two_naming_it(tmp_path, capsys):
     code, out, err = run_cli(capsys, "policy-compare", "--scenario", path, "--format", "csv")
     assert code == 2 and out == ""
     assert err == (
-        "epigames: domain error: social_cost is inf: the scenario's magnitudes overflow a float\n"
+        "epigames: domain error: social_cost is inf: the scenario's magnitudes leave a float's range\n"
     )
 
 
@@ -618,7 +612,7 @@ def test_overflowing_testing_spend_exits_two_naming_it(tmp_path, capsys):
     code, out, err = run_cli(capsys, "policy-compare", "--scenario", path, "--format", "csv")
     assert (code, out) == (2, "")
     assert err == (
-        "epigames: domain error: testing_outlay is inf: the scenario's magnitudes overflow a float\n"
+        "epigames: domain error: testing_outlay is inf: the scenario's magnitudes leave a float's range\n"
     )
 
 
@@ -1389,6 +1383,15 @@ def _fuzzed_number(base=1.0):
     )
 
 
+# an int of 8 to 309 digits, of either sign: beyond every grid's steps, so no grid costs
+# time; a float holds all but the largest, and a range rule that refuses one prints it
+_LONG_INT = st.tuples(st.sampled_from(["", "-"]), st.integers(8, 309)).flatmap(
+    lambda drawn: st.integers(10 ** (drawn[1] - 1), 10 ** drawn[1] - 1).map(lambda n: f"{drawn[0]}{n}")
+)
+# a grid's steps or a gathering limit: small, or too long for any grid (a large grid only costs time)
+_STEPS = st.one_of(st.integers(-2, 60).map(str), _LONG_INT)
+
+
 # the keys that hold an amount of money, and the policy parameters that do
 _PRICE_KEYS = [("mask", key) for key in ("c_out", "c_in", "c_use", "c_infection")] + [
     ("distancing", key) for key in ("B", "C", "L")
@@ -1418,7 +1421,7 @@ def _fuzzed_price(base):
 def _fuzzed_policy():
     numbers = {
         "subsidy": _fuzzed_price(100.0),
-        "limit": st.integers(-2, 60).map(str),
+        "limit": _STEPS,
         "per_test_cost": _fuzzed_price(50.0),
         "traced_fraction": _fuzzed_number(0.1),
     }
@@ -1433,7 +1436,9 @@ def _fuzzed_policy():
 
 def _fuzzed_value(section, key, raw):
     if (section, key) == ("meeting", "grid_steps"):
-        return st.integers(-2, 60).map(str)  # a larger grid only costs time
+        return _STEPS
+    if (section, key) == ("population", "n"):
+        return st.one_of(_fuzzed_number(float(raw)), _LONG_INT)
     if section == "functions":
         return st.one_of(
             _fuzzed_number(500.0).map("constant:{}".format),
@@ -1476,7 +1481,7 @@ def _fuzzed_scenario(draw):
 _FLAGS = st.tuples(
     st.sampled_from([[], ["--format", "csv"]]),
     st.sampled_from([[], ["--verify"]]),
-    st.one_of(st.just([]), st.integers(-2, 60).map(lambda n: ["--grid-steps", str(n)])),
+    st.one_of(st.just([]), _STEPS.map(lambda n: ["--grid-steps", n])),
     st.one_of(st.just([]), st.integers(0, 12).map(lambda n: ["--precision", str(n)])),
 ).map(lambda parts: sum(parts, []))
 
@@ -1501,3 +1506,4 @@ def test_any_scenario_and_flags_end_in_a_report_or_one_error_line(command, text,
         assert not re.search(r"\bnan\b", out, re.IGNORECASE)
     else:
         assert out == "" and err.count("\n") == 1 and err.startswith("epigames: ")
+        assert len(err.replace(str(path), "")) < 250  # an echoed text or number is cut to 40 characters

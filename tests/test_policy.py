@@ -100,7 +100,7 @@ class TestPolicyType:
     def test_parameter_ranges_enforced(self):
         with pytest.raises(ValueError, match="subsidy"):
             Policy("free_masks", subsidy=-1.0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^limit must be at least 1, got 0$"):
             Policy("gathering_cap", limit=0)
         with pytest.raises(ValueError, match="integer"):
             Policy("gathering_cap", limit=2.5)
@@ -248,7 +248,7 @@ def _apply_one(scenario, policy):
     revealed = max(scenario.revealed_fraction, fraction)
     outlay = scenario.testing_outlay + fraction * (scenario.population * policy.per_test_cost)
     if not math.isfinite(outlay):
-        raise DomainError(f"testing_outlay is {outlay}: the scenario's magnitudes overflow a float")
+        raise DomainError(f"testing_outlay is {outlay}: the scenario's magnitudes leave a float's range")
     return scenario.replace(revealed_fraction=revealed, testing_outlay=outlay)
 
 

@@ -131,17 +131,17 @@ class TestParsing:
             config.require("designer")
 
 
-MASK_ORDER = r"\[mask\]\.c_out/c_in/c_infection: .* 0 <= c_out < c_in < c_infection"
+MASK_ORDER = r"\[mask\]\.c_out/c_in/c_infection: .* satisfy c_out < c_in < c_infection"
 MEETING_WINDOW = r"\[meeting\]\.z_min/z_max: need 0 < z_min < z_max <= 100"
 PROBABILITY = r"must be within \[0, 1\]"
 
 # (section, key, value, message): one row per range rule a scenario file can break.
 # The value types state each rule, and the reader names the file's section and keys;
-# the last three rules are the reader's own.
+# the last two rules are the reader's own.
 RANGE_RULES = [
     ("mask", "c_out", "10", MASK_ORDER),
     ("mask", "c_in", "1000", MASK_ORDER),
-    ("mask", "c_use", "1000", r"\[mask\]\.c_use/c_infection: .* 0 <= c_use < c_infection"),
+    ("mask", "c_use", "1000", r"\[mask\]\.c_use/c_infection: .* satisfy c_use < c_infection"),
     ("mask", "a", "0.75", r"\[mask\]\.a/b: .* 0 <= a <= b <= 1"),
     ("mask", "b", "1.5", r"\[mask\]\.a/b: .* 0 <= a <= b <= 1"),
     ("bayesian", "rho", "1.5", r"\[bayesian\]\.rho: rho " + PROBABILITY),
@@ -156,9 +156,9 @@ RANGE_RULES = [
     ("meeting", "grid_steps", "0", r"\[meeting\]\.grid_steps: grid_steps must be within \[1, 1000000\], got 0$"),
     ("designer", "weight_test", "-1", r"\[designer\]\.weight_test: weight_test must be non-neg"),
     ("functions", "benefit", "linear:-1,0", r"\[functions\]\.benefit: slope must be non-negative, got -1\.0$"),
+    ("population", "n", "1", r"\[population\]\.n: population must be at least 2, got 1$"),
     ("mask", "c_out", "0", r"\[mask\]\.c_out: must be > 0"),
     ("mask", "c_use", "0", r"\[mask\]\.c_use: must be > 0"),
-    ("population", "n", "1", r"\[population\]\.n: must be >= 2"),
 ]
 
 

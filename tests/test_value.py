@@ -29,6 +29,7 @@ from epigames import (
 )
 from epigames.errors import FieldError
 from epigames.policy import POLICY_KINDS
+from epigames.scenario import ScenarioConfig
 from epigames.value import Value
 
 
@@ -169,10 +170,14 @@ def test_the_scenario_types_state_their_ranges():
         "DistancingParams": {"benefit", "home_cost", "mortality", "life_value", "infection_prob"},
         "CostBenefitFunction": {"slope", "intercept"},
         "MeetingDomain": {"grid_steps"},
-        "Policy": {"subsidy", "per_test_cost", "traced_fraction"},
+        "MaskCosts": {"c_out", "c_use"},
+        "Policy": {"subsidy", "limit", "per_test_cost", "traced_fraction"},
         "DesignerCostModel": {"weight_infection", "weight_test", "weight_economic"},
         "Scenario": {"population", "revealed_fraction", "testing_outlay"},
     }
+    # a scenario file's population is held to the rule the Scenario it builds states
+    assert ScenarioConfig._ranges == {"population": Scenario._ranges["population"]}
+    assert ScenarioConfig._ranges["population"] is Scenario._ranges["population"]
 
 
 def _range_bounds():
