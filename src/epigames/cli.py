@@ -18,12 +18,13 @@ import os
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Collection, Iterable, Iterator, Sequence
 
 from . import oracle
 from .distancing import (
     MAX_GRID_STEPS,
     Decision,
+    MeetingDomain,
     curve_series,
     distancing_utility,
     extended_go_decision,
@@ -32,7 +33,7 @@ from .distancing import (
     stay_home_decision,
     z_objective,
 )
-from .errors import DomainError, FieldError, ScenarioError, VerificationError
+from .errors import DomainError, ScenarioError, VerificationError, echo, read_integer
 from .games import solve
 from .masks import (
     HealthStatus,
@@ -44,7 +45,7 @@ from .masks import (
 )
 from .policy import GATHERING_CAP, LOCKDOWN, designer_cost, evaluate_mechanism, rank
 from .scenario import ScenarioConfig, parse_scenario
-from .value import Value
+from .value import Value, check_range
 
 _STATUS_PAIRS = (
     ("both_susceptible", HealthStatus.SUSCEPTIBLE, HealthStatus.SUSCEPTIBLE),
@@ -58,6 +59,7 @@ MAX_PRECISION = 17
 # from this magnitude on a table cell is in exponent form: a double's fixed-point
 # digits past the 17th significant one are noise
 EXPONENT_FROM = 1e16
+_FORMATS = ("table", "csv")
 
 
 class ReportOptions(Value):
@@ -79,6 +81,29 @@ class _Parser(argparse.ArgumentParser):
             self.exit(1)
 
 
+# argparse types: argparse prints an ArgumentTypeError's text as it is, but words any
+# other error itself, repeating the whole text where these echo 40 characters of it
+def _integer_in(owner: type[Value], field: str) -> Callable[[str], int]:
+    """The integer a flag's text denotes, by the range ``owner`` states for ``field``."""
+    def read(raw: str) -> int:
+        try:
+            value = read_integer(raw)
+            check_range(field, value, *owner._ranges[field])
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return read
+
+
+def _name_in(names: Collection[str]) -> Callable[[str], str]:
+    """A name, which must be one of ``names``."""
+    def read(raw: str) -> str:
+        if raw not in names:
+            raise argparse.ArgumentTypeError(f"unknown {echo(raw)}; have {','.join(names)}")
+        return raw
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     width = max(map(len, _COMMANDS)) + 2
     table = "".join(f"    {name:<{width}}{descr}\n" for name, (descr, _) in _COMMANDS.items())
@@ -88,16 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="commands:\n" + table,
         formatter_class=argparse.RawDescriptionHelpFormatter,  # keeps the table's line breaks
     )
-    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("command", type=_name_in(_COMMANDS), metavar="command", help="one of the commands below")
     parser.add_argument("--scenario", required=True, help="path to the scenario file")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("table", "csv"), default="table", help="table (default) or csv")
-    parser.add_argument(
-        "--grid-steps", type=int, default=None, metavar="N",
-        help=f"1 to {MAX_GRID_STEPS:,}; default: the scenario's grid_steps",
-    )
+    parser.add_argument("--format", type=_name_in(_FORMATS), default="table", metavar=f"{{{','.join(_FORMATS)}}}",
+                        help="table (default) or csv")
+    parser.add_argument("--grid-steps", type=_integer_in(MeetingDomain, "grid_steps"), metavar="N",
+                        help=f"1 to {MAX_GRID_STEPS:,}; default: the scenario's grid_steps")
     parser.add_argument("--verify", action="store_true", help="cross-check against brute force")
-    parser.add_argument("--precision", type=int, default=6, metavar="D", help=f"1 to {MAX_PRECISION}; default 6")
+    parser.add_argument("--precision", type=_integer_in(ReportOptions, "precision"), default=6, metavar="D",
+                        help=f"1 to {MAX_PRECISION}; default 6")
     return parser
 
 
@@ -478,18 +503,12 @@ def _write(text: str, out: str | None) -> bool:
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, dispatch, and emit the report; returns the exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv)  # each flag's type checks it, before the scenario is read
+    opts = ReportOptions(fmt=args.format, precision=args.precision, verify=args.verify)
     try:
-        # ReportOptions states the --precision rule, checked before the scenario is read,
-        # and MeetingDomain the --grid-steps rule, for the flag and the file alike
-        try:
-            opts = ReportOptions(fmt=args.format, precision=args.precision, verify=args.verify)
-            config = parse_scenario(args.scenario)
-            if args.grid_steps is not None:
-                config = config.replace(meeting_domain=config.meeting_domain.replace(grid_steps=args.grid_steps))
-        except FieldError as exc:  # a flag's: the reader words a breach in the file as a ScenarioError
-            print(f"epigames: error: --{exc.fields[0].replace('_', '-')}: {exc}", file=sys.stderr)
-            return 1
+        config = parse_scenario(args.scenario)
+        if args.grid_steps is not None:
+            config = config.replace(meeting_domain=config.meeting_domain.replace(grid_steps=args.grid_steps))
         report = _COMMANDS[args.command][1](config, opts)
         report, warnings = (report, []) if isinstance(report, str) else report
     except ScenarioError as exc:

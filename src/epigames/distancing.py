@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError, FieldError, echo
+from .errors import DomainError, FieldError, echo, read_number
 from .value import _FLOAT_MAX, Value, check_range
 
 
@@ -68,10 +68,7 @@ class CostBenefitFunction(Value):
         arity = {"constant": 1, "linear": 2}.get(kind)
         if arity is None:
             raise ValueError(f"expected 'constant:k' or 'linear:slope,intercept', got {echo(text)}")
-        try:
-            numbers = [float(part) for part in args.split(",")]
-        except ValueError:
-            raise ValueError(f"malformed coefficients in {echo(text)}") from None
+        numbers = [read_number(part) for part in args.split(",")]
         if len(numbers) != arity:
             count = "one coefficient" if arity == 1 else "two coefficients"
             raise ValueError(f"{kind} takes exactly {count}")
@@ -160,6 +157,13 @@ def stay_home_decision(params: DistancingParams) -> StayHomeDecision:
     return StayHomeDecision(decision, threshold)
 
 
+def _check_exposure(z: float) -> None:
+    """Refuse an exposure z that is not positive and finite: z <= 0, nan, inf or an int beyond every float."""
+    if not 0 < z <= _FLOAT_MAX:
+        shown = repr(z) if isinstance(z, float) or abs(z) <= _FLOAT_MAX else "an int too large for a float"
+        raise ValueError(f"exposure z must be positive and finite, got {shown}")
+
+
 def group_infection_probability(rho: float, z: float) -> float:
     """Probability of catching the infection at a finite exposure z > 0: 1 - (1 - rho)^z.
 
@@ -168,10 +172,7 @@ def group_infection_probability(rho: float, z: float) -> float:
     rho.  rho = 1, which log1p cannot take, is the certain case.
     """
     check_range("rho", rho, 0, 1)
-    # one comparison refuses z <= 0, nan, the infinities and ints beyond every float
-    if not 0 < z <= _FLOAT_MAX:
-        shown = repr(z) if isinstance(z, float) or abs(z) <= _FLOAT_MAX else "an int too large for a float"
-        raise ValueError(f"exposure z must be positive and finite, got {shown}")
+    _check_exposure(z)
     return 1.0 if rho == 1 else -math.expm1(z * math.log1p(-rho))
 
 
@@ -187,12 +188,9 @@ def z_objective(
     Going out is justified when this exceeds the player's life value.  With no
     risk (rho = 0 or m = 0) the stakes are unbounded: inf, as in ``stay_home_decision``.
     """
-    if not 0 <= rho <= 1:
-        raise DomainError(f"meeting objective needs infection probability in [0, 1], got {rho}")
-    if m < 0:
-        raise DomainError(f"meeting objective needs non-negative mortality, got {m}")
-    if z <= 0:
-        raise DomainError(f"exposure z must be positive, got {z}")
+    check_range("rho", rho, *DistancingParams._ranges["infection_prob"])
+    check_range("m", m, *DistancingParams._ranges["mortality"])
+    _check_exposure(z)
     # B(z) + C(z) from the coefficients, as CostBenefitFunction.__call__ computes it:
     # two Python calls per evaluation would cost more than the stable risk below
     stakes = benefit_fn.slope * z + benefit_fn.intercept + (cost_fn.slope * z + cost_fn.intercept)

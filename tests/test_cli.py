@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BASELINE_FILE, SAMPLE_PARAMS, child_env, cli_process, edited_scenario
+from conftest import BASELINE_FILE, SAMPLE_PARAMS, child_env, cli_exit_code, cli_process, edited_scenario
 from epigames import cli, distancing, oracle, pair_game, parse_scenario, solve
 from epigames.distancing import (
     MAX_GRID_STEPS,
@@ -82,7 +82,7 @@ def scenario_path(tmp_path):
 
 
 def run_cli(capsys, *argv):
-    code = cli.run(list(argv))
+    code = cli_exit_code(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -348,7 +348,7 @@ DIGITS_301 = "1" + "0" * 300  # an int a float holds, of a text longer than an e
         pytest.param("meeting", "grid_steps", DIGITS_301, [],
                      ("[meeting].grid_steps: grid_steps must be within", "301 characters"), id="grid_steps-301"),
         pytest.param("meeting", "grid_steps", "40", ["--grid-steps", DIGITS_301],
-                     ("--grid-steps: grid_steps must be within", "301 characters"), id="grid-steps-flag-301"),
+                     ("argument --grid-steps: grid_steps must be within", "301 characters"), id="grid-steps-flag-301"),
         pytest.param("policies", "cap", f"gathering_cap limit=-{DIGITS_301}", [],
                      ("[policies].cap: limit must be at least 1", "302 characters"), id="limit-301"),
         pytest.param("population", "n", f"-{DIGITS_301}", [],
@@ -1207,7 +1207,7 @@ def test_mask_basic_verify_rejects_a_wrong_dominant_action_naming_the_game(capsy
 def test_out_of_range_flag_exits_one_naming_the_flag(capsys, flag, value):
     code, out, err = run_cli(capsys, "curves", "--scenario", str(BASELINE_FILE), flag, value)
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and err.startswith(f"epigames: error: {flag}")
+    assert err.count("\n") == 1 and err.startswith(f"epigames: error: argument {flag}: ")
 
 
 @pytest.mark.parametrize(
@@ -1215,14 +1215,14 @@ def test_out_of_range_flag_exits_one_naming_the_flag(capsys, flag, value):
     [
         ("curves", "1000000", "within [1, 17], got 1000000"),  # about 20 GB of cell text
         ("distancing", "3000000000", "within [1, 17], got 3000000000"),  # past what format() takes
-        ("distancing", "1" + "0" * 400, "a finite number, got an int too large for a float"),
+        ("distancing", "1" + "0" * 400, f"within [1, 17], got '{'1' + '0' * 39}'... (401 characters)"),
     ],
     ids=["curves-1e6", "distancing-3e9", "distancing-1e400"],
 )
 def test_precision_above_the_maximum_exits_one_before_any_work(capsys, command, value, rule):
     # the scenario does not exist: the flag is refused before the file is read
     code, out, err = run_cli(capsys, command, "--scenario", "missing.ini", "--precision", value)
-    assert (code, out, err) == (1, "", f"epigames: error: --precision: precision must be {rule}\n")
+    assert (code, out, err) == (1, "", f"epigames: error: argument --precision: precision must be {rule}\n")
 
 
 def test_maximum_precision_round_trips_every_cell(capsys):
@@ -1371,7 +1371,7 @@ def test_grid_steps_bound_holds_for_the_file_and_the_flag(tmp_path, capsys, via,
         _assert_one_line_scenario_error(*result, (f"[meeting].grid_steps: {message}",))
     else:
         assert result[:2] == (1, "")
-        assert result[2] == f"epigames: error: --grid-steps: {message}\n"
+        assert result[2] == f"epigames: error: argument --grid-steps: {message}\n"
 
 
 def _fuzzed_number(base=1.0):
@@ -1497,7 +1497,7 @@ def test_any_scenario_and_flags_end_in_a_report_or_one_error_line(command, text,
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run([command, "--scenario", str(path), *flags])
+            code = cli_exit_code([command, "--scenario", str(path), *flags])
     out, err = out.getvalue(), err.getvalue()
     event(f"exit {code}")
     assert code in (0, 1, 2), err

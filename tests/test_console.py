@@ -118,19 +118,29 @@ def test_mass_testing_reports_what_targeted_testing_of_everyone_reports(tmp_path
     assert after["full"] == after["test_all"]
 
 
+LONG_DIGITS, LONG_NAME = "9" * 5000, "x" * 5000
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, named",
     [
-        [],
-        ["nope", "--scenario", BASELINE],
-        ["curves"],
-        ["curves", "--scenario", BASELINE, "--format", "xml"],
-        ["curves", "--scenario", BASELINE, "--precision", "abc"],
+        ([], "command"),
+        (["nope", "--scenario", BASELINE], "command"),
+        (["curves"], "--scenario"),
+        (["curves", "--scenario", BASELINE, "--format", "xml"], "--format"),
+        (["curves", "--scenario", BASELINE, "--precision", "abc"], "--precision"),
+        # a flag's text is echoed cut to 40 characters, as every error line echoes it
+        (["curves", "--scenario", BASELINE, "--grid-steps", LONG_DIGITS], "--grid-steps"),
+        (["curves", "--scenario", BASELINE, "--precision", LONG_DIGITS], "--precision"),
+        (["curves", "--scenario", BASELINE, "--format", LONG_NAME], "--format"),
+        ([LONG_NAME, "--scenario", BASELINE], "command"),
     ],
-    ids=["no-arguments", "unknown-command", "no-scenario", "format-xml", "precision-abc"],
+    ids=["no-arguments", "unknown-command", "no-scenario", "format-xml", "precision-abc",
+         "grid-steps-5000", "precision-5000", "format-5000", "command-5000"],
 )
-def test_a_bad_invocation_exits_one_with_one_line(args):
+def test_a_bad_invocation_exits_one_with_one_line(args, named):
     result = cli_process(args)
     assert (result.returncode, result.stdout, result.stderr.count("\n")) == (1, "", 1)
     # argparse words the message differently from one Python version to the next
-    assert result.stderr.startswith("epigames: error: ")
+    assert result.stderr.startswith("epigames: error: ") and named in result.stderr
+    assert len(result.stderr) < 200

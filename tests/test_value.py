@@ -25,7 +25,10 @@ from epigames import (
     efficiency_expected_cost,
     group_infection_probability,
     multiplayer_so_condition,
+    objective_values,
+    optimal_meeting,
     oracle,
+    z_objective,
 )
 from epigames.errors import FieldError
 from epigames.policy import POLICY_KINDS
@@ -265,6 +268,23 @@ def _argument_breaches():
         None,
         id="group_infection_probability-z-10**400",
     )
+    # the meeting objective's rho and m follow DistancingParams' rows, and z the exposure rule,
+    # in z_objective and in the optimum that scans it
+    one = CostBenefitFunction.constant(1.0)
+    for name, rho, m, shown in [("rho", 1.5, 0.5, "1.5"), ("m", 0.5, 2.0, "2.0")]:
+        message = f"{name} must be within [0, 1], got {shown}"
+        yield pytest.param(partial(z_objective, 1.0, one, one, rho, m), message, (name,), id=f"z_objective-{name}")
+        yield pytest.param(
+            partial(optimal_meeting, one, one, rho, m, MeetingDomain()), message, (name,), id=f"optimal_meeting-{name}"
+        )
+    for z, text, shown in [(math.inf, "inf", "inf"), (math.nan, "nan", "nan"),
+                           (10**400, "10**400", "an int too large for a float"), (0, "0", "0"), (-1, "-1", "-1")]:
+        message = f"exposure z must be positive and finite, got {shown}"
+        yield pytest.param(partial(z_objective, z, one, one, 0.5, 0.5), message, None, id=f"z_objective-z-{text}")
+        # the kernel of optimal_meeting checks its first point through z_objective
+        yield pytest.param(
+            partial(objective_values, [z, 1.0], one, one, 0.5, 0.5), message, None, id=f"objective_values-z-{text}"
+        )
 
 
 @pytest.mark.parametrize("call, message, fields", list(_argument_breaches()))
