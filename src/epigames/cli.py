@@ -1,9 +1,10 @@
 """Command-line interface: scenario ingestion, dispatch, report emission.
 
-Exit codes: 0 success, 1 scenario/usage failure or a report that cannot be
-written, 2 domain error from a computation, 3 analytic/oracle mismatch under
---verify.  Reports go to the --out target (default stdout); diagnostics go to
-stderr.  Output is byte-identical across runs for identical inputs and flags.
+``run(argv)`` returns the exit code of every outcome, --help's included: 0 success,
+1 scenario/usage failure or a report or help that cannot be written, 2 domain
+error from a computation, 3 analytic/oracle mismatch under --verify.  Reports go
+to the --out target (default stdout); diagnostics go to stderr.  Output is
+byte-identical across runs for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def _exact(value: Value) -> Value:
     return value.replace(**{field: Fraction(getattr(value, field)) for field in value._fields})
 
 
-def _cmd_mask_basic(config: ScenarioConfig, opts: ReportOptions) -> str:
+def _cmd_mask_basic(config: ScenarioConfig, opts: ReportOptions) -> tuple[str, list[str]]:
     costs = config.require("mask_costs")
     games = [(name, pair_game(s1, s2, costs)) for name, s1, s2 in _STATUS_PAIRS]
     reports = [(name, game, solve(game)) for name, game in games]
@@ -208,10 +209,10 @@ def _cmd_mask_basic(config: ScenarioConfig, opts: ReportOptions) -> str:
         rows += [[name, "dominant_action", 2, None, game.actions_p2.labels[i], None, None] for i in report.dominant_p2]
     return _render(
         ["game", "item", "player", "action_p1", "action_p2", "cost_p1", "cost_p2"], zip(*rows), opts
-    )
+    ), []
 
 
-def _cmd_mask_bayesian(config: ScenarioConfig, opts: ReportOptions) -> str:
+def _cmd_mask_bayesian(config: ScenarioConfig, opts: ReportOptions) -> tuple[str, list[str]]:
     costs, setting = config.require("mask_costs", "bayesian")
     condition = bayesian_mask_condition(setting, costs)
     cost_no = bayesian_expected_cost(setting, 0.0, costs)
@@ -246,10 +247,10 @@ def _cmd_mask_bayesian(config: ScenarioConfig, opts: ReportOptions) -> str:
             ("decision", "wear" if condition.wear else "skip"),
         ],
         opts,
-    )
+    ), []
 
 
-def _cmd_mask_efficiency(config: ScenarioConfig, opts: ReportOptions) -> str:
+def _cmd_mask_efficiency(config: ScenarioConfig, opts: ReportOptions) -> tuple[str, list[str]]:
     costs = config.require("mask_costs")
     eff = config.efficiency
     analysis = efficiency_analysis(eff, costs)
@@ -291,10 +292,10 @@ def _cmd_mask_efficiency(config: ScenarioConfig, opts: ReportOptions) -> str:
             ("best_p", analysis.best_p),
         ],
         opts,
-    )
+    ), []
 
 
-def _cmd_distancing(config: ScenarioConfig, opts: ReportOptions) -> str:
+def _cmd_distancing(config: ScenarioConfig, opts: ReportOptions) -> tuple[str, list[str]]:
     params = config.require("distancing")
     outcome = stay_home_decision(params)
     utility_stay = distancing_utility(0.0, params)
@@ -318,10 +319,10 @@ def _cmd_distancing(config: ScenarioConfig, opts: ReportOptions) -> str:
             ("decision", outcome.decision.value),
         ],
         opts,
-    )
+    ), []
 
 
-def _cmd_meeting_opt(config: ScenarioConfig, opts: ReportOptions) -> str:
+def _cmd_meeting_opt(config: ScenarioConfig, opts: ReportOptions) -> tuple[str, list[str]]:
     params, benefit_fn, cost_fn = config.require("distancing", "benefit_fn", "cost_fn")
     domain = config.meeting_domain
     rho, mortality = params.infection_prob, params.mortality
@@ -360,10 +361,10 @@ def _cmd_meeting_opt(config: ScenarioConfig, opts: ReportOptions) -> str:
             ("decision", decision.decision.value),
         ],
         opts,
-    )
+    ), []
 
 
-def _cmd_curves(config: ScenarioConfig, opts: ReportOptions) -> str:
+def _cmd_curves(config: ScenarioConfig, opts: ReportOptions) -> tuple[str, list[str]]:
     params, benefit_fn, cost_fn = config.require("distancing", "benefit_fn", "cost_fn")
     domain = config.meeting_domain
     zs, values = zip(*curve_series(benefit_fn, cost_fn, params.infection_prob, params.mortality, domain))
@@ -380,7 +381,7 @@ def _cmd_curves(config: ScenarioConfig, opts: ReportOptions) -> str:
                 break
         _fail_verify(mismatches)
 
-    return _render(["z", "objective"], [zs, values], opts)
+    return _render(["z", "objective"], [zs, values], opts), []
 
 
 def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> tuple[str, list[str]]:
@@ -449,8 +450,7 @@ def _cmd_policy_compare(config: ScenarioConfig, opts: ReportOptions) -> tuple[st
     ), in_file_order
 
 
-# subcommand -> (help line, handler), in the order --help lists them; a handler
-# returns the report, or the report and the warnings to print once it is written
+# subcommand -> (help line, handler returning the report and the warnings to print after it), in --help's order
 _COMMANDS = {
     "mask-basic": ("pair games with equilibria, social optima, and dominance", _cmd_mask_basic),
     "mask-bayesian": ("mask decision under unknown health status", _cmd_mask_bayesian),
@@ -461,6 +461,8 @@ _COMMANDS = {
     "policy-compare": ("evaluate and rank government policy sets", _cmd_policy_compare),
 }
 SUBCOMMANDS = tuple(_COMMANDS)
+_FAILURES = {ScenarioError: ("scenario error", 1), DomainError: ("domain error", 2),  # stderr label, exit code
+             VerificationError: ("verification mismatch", 3)}
 
 
 def _detach_stdout() -> None:
@@ -501,25 +503,21 @@ def _write(text: str, out: str | None) -> bool:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse arguments, dispatch, and emit the report; returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)  # each flag's type checks it, before the scenario is read
+    """Parse arguments, dispatch, and emit the report; returns the exit code of every outcome, --help's too."""
+    try:
+        args = build_parser().parse_args(argv)  # each flag's type checks it, before the scenario is read
+    except SystemExit as exc:  # argparse's int exit after --help, a usage error or help it cannot write
+        return exc.code  # type: ignore[return-value]
     opts = ReportOptions(fmt=args.format, precision=args.precision, verify=args.verify)
     try:
         config = parse_scenario(args.scenario)
         if args.grid_steps is not None:
             config = config.replace(meeting_domain=config.meeting_domain.replace(grid_steps=args.grid_steps))
-        report = _COMMANDS[args.command][1](config, opts)
-        report, warnings = (report, []) if isinstance(report, str) else report
-    except ScenarioError as exc:
-        print(f"epigames: scenario error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"epigames: domain error: {exc}", file=sys.stderr)
-        return 2
-    except VerificationError as exc:
-        print(f"epigames: verification mismatch: {exc}", file=sys.stderr)
-        return 3
+        report, warnings = _COMMANDS[args.command][1](config, opts)
+    except tuple(_FAILURES) as exc:
+        label, code = _FAILURES[type(exc)]
+        print(f"epigames: {label}: {exc}", file=sys.stderr)
+        return code
     if not _write(report, args.out):
         return 1
     for text in warnings:

@@ -1,6 +1,7 @@
 """Shared exception types for the toolkit, the quoting of input in their messages,
 and the readers of numbers in input text, whose errors say what they expected."""
 
+import re
 import sys
 
 _ECHO_CHARS = 40  # the most characters of an input's text that an error line repeats
@@ -25,9 +26,10 @@ def read_integer(raw: str, name: str = "") -> int:
     try:
         return int(raw)
     except ValueError:
-        # from 3.10.7 on, int() refuses a text of more digits than a limit, 4,300 by default
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        size = f" of at most {limit} digits" if limit and len(raw) > limit else ""
+        # from 3.10.7 on, int() refuses a text of more digits than a limit, 4,300 by default: the one
+        # way a text of its grammar (digits, a sign, single underscores, whitespace but \x1c-\x1f around) fails
+        digits = re.fullmatch(r"[^\S\x1c-\x1f]*[+-]?\d+(_\d+)*[^\S\x1c-\x1f]*", raw)
+        size = f" of at most {sys.get_int_max_str_digits()} digits" if digits else ""
         raise ValueError(f"expected an integer{size}{name and ' for '}{name}, got {echo(raw)}") from None
 
 

@@ -93,15 +93,6 @@ def child_env(**changes):
     return {key: value for key, value in env.items() if value is not None}
 
 
-def cli_exit_code(argv):
-    """``cli.run(argv)``'s exit code; argparse ends a usage error, such as a bad flag, by
-    raising ``SystemExit`` instead."""
-    try:
-        return cli.run(list(argv))
-    except SystemExit as exc:
-        return exc.code
-
-
 def cli_process(args, stdout=subprocess.PIPE, **env):
     """``python -m epigames.cli *args`` writing its report to ``stdout``, with ``env``
     changed; a run that takes more than a minute fails."""

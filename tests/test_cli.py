@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BASELINE_FILE, SAMPLE_PARAMS, child_env, cli_exit_code, cli_process, edited_scenario
+from conftest import BASELINE_FILE, SAMPLE_PARAMS, child_env, cli_process, edited_scenario
 from epigames import cli, distancing, oracle, pair_game, parse_scenario, solve
 from epigames.distancing import (
     MAX_GRID_STEPS,
@@ -82,7 +82,7 @@ def scenario_path(tmp_path):
 
 
 def run_cli(capsys, *argv):
-    code = cli_exit_code(argv)
+    code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -242,16 +242,13 @@ class TestExitCodes:
 
 class TestCommandTable:
     def test_subcommands_match_the_help_listing(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            cli.run(["--help"])
-        assert exit_info.value.code == 0
+        assert cli.run(["--help"]) == 0
         # subcommands are indented four spaces; wrapped help lines further
         listed = re.findall(r"^ {4}(\S+) +(.+)$", capsys.readouterr().out, re.MULTILINE)
         assert listed == [(name, descr) for name, (descr, _) in cli._COMMANDS.items()]
 
     def test_help_states_each_default_and_range(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.run(["--help"])
+        assert cli.run(["--help"]) == 0
         # argparse wraps long help lines; join them back before matching
         text = " ".join(capsys.readouterr().out.split())
         assert "--format {table,csv} table (default) or csv" in text
@@ -353,6 +350,12 @@ DIGITS_301 = "1" + "0" * 300  # an int a float holds, of a text longer than an e
                      ("[policies].cap: limit must be at least 1", "302 characters"), id="limit-301"),
         pytest.param("population", "n", f"-{DIGITS_301}", [],
                      ("[population].n: population must be at least 2", "302 characters"), id="n-301"),
+        # the digit clause is for a text int() would read but for its length, not any long text
+        pytest.param("population", "n", "x" * 5000, [],
+                     ("[population].n: expected an integer, got", "5000 characters"), id="n-5000-letters"),
+        pytest.param("meeting", "grid_steps", "40", ["--grid-steps", "x" * 5000],
+                     ("argument --grid-steps: expected an integer, got", "5000 characters"),
+                     id="grid-steps-flag-5000-letters"),
     ],
 )
 def test_long_number_text_exits_one_with_a_short_line(tmp_path, capsys, section, key, value, flags, named):
@@ -1085,9 +1088,8 @@ def test_a_closed_pipe_on_stdout_exits_one_with_one_line(unbuffered):
 def test_help_to_an_unwritable_stdout_exits_one_with_one_line(method, error):
     err = io.StringIO()
     with contextlib.redirect_stdout(_FailingStdout(method, error)), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as exit_info:
-            cli.run(["--help"])
-    assert (exit_info.value.code, err.getvalue()) == (1, f"epigames: cannot write <stdout>: {error}\n")
+        code = cli.run(["--help"])
+    assert (code, err.getvalue()) == (1, f"epigames: cannot write <stdout>: {error}\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
@@ -1497,7 +1499,7 @@ def test_any_scenario_and_flags_end_in_a_report_or_one_error_line(command, text,
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_exit_code([command, "--scenario", str(path), *flags])
+            code = cli.run([command, "--scenario", str(path), *flags])
     out, err = out.getvalue(), err.getvalue()
     event(f"exit {code}")
     assert code in (0, 1, 2), err

@@ -134,13 +134,23 @@ LONG_DIGITS, LONG_NAME = "9" * 5000, "x" * 5000
         (["curves", "--scenario", BASELINE, "--precision", LONG_DIGITS], "--precision"),
         (["curves", "--scenario", BASELINE, "--format", LONG_NAME], "--format"),
         ([LONG_NAME, "--scenario", BASELINE], "command"),
+        (["curves", "--scenario", BASELINE, "--precision", "0"], "--precision"),
     ],
     ids=["no-arguments", "unknown-command", "no-scenario", "format-xml", "precision-abc",
-         "grid-steps-5000", "precision-5000", "format-5000", "command-5000"],
+         "grid-steps-5000", "precision-5000", "format-5000", "command-5000", "precision-0"],
 )
-def test_a_bad_invocation_exits_one_with_one_line(args, named):
+def test_a_bad_invocation_exits_one_with_one_line(capsys, args, named):
     result = cli_process(args)
     assert (result.returncode, result.stdout, result.stderr.count("\n")) == (1, "", 1)
     # argparse words the message differently from one Python version to the next
     assert result.stderr.startswith("epigames: error: ") and named in result.stderr
     assert len(result.stderr) < 200
+    # cli.run returns the code the process exits with, after the same line
+    assert (cli.run(args), *capsys.readouterr()) == (1, "", result.stderr)
+
+
+def test_help_in_process_is_what_the_process_prints(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    result = cli_process(["--help"])
+    assert (cli.run(["--help"]), *capsys.readouterr()) == (result.returncode, result.stdout, result.stderr)
+    assert result.returncode == 0 and result.stdout.startswith("usage: epigames ")
